@@ -35,6 +35,7 @@ from .ops import (
     transpose,
 )
 from .optim import Adam
+from .segments import SegmentPlan
 from .tensor import (
     DomainError,
     EmptyBatchError,
@@ -69,6 +70,7 @@ Tensor.__matmul__ = matmul
 __all__ = [
     "Adam", "DomainError", "EmptyBatchError", "FIRST_ORDER_ONLY",
     "GradientMap", "MissingDependencyError", "Node", "SegmentError",
+    "SegmentPlan",
     "ShapeError", "Tape", "TapeMode", "TapeModeError", "Tensor",
     "abs_", "active_tape", "add", "as_tensor", "backward",
     "binary_cross_entropy", "broadcast_to", "cross_entropy", "div", "elu",

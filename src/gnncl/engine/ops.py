@@ -34,6 +34,7 @@ from .tensor import (
     active_tape,
     as_tensor,
 )
+from .segments import SegmentPlan, check_index
 
 # Operations whose VJPs are opaque kernels rather than compositions.
 FIRST_ORDER_ONLY = frozenset({"binary_cross_entropy"})
@@ -389,52 +390,92 @@ def sq_l2_norm(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # indexed gathers and scatters
 
-def _check_index(idx, upper: int, what: str) -> np.ndarray:
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError(f"{what} must be a 1-D integer array")
-    if idx.size and (idx.min() < 0 or idx.max() >= upper):
-        raise ShapeError(f"{what} out of range [0, {upper})")
-    return idx.astype(np.int64)
+def _row_plan(idx, num_rows: int) -> SegmentPlan:
+    """``idx`` as a plan over ``num_rows`` rows; a plan is only checked
+    against the row count."""
+    if isinstance(idx, SegmentPlan):
+        if idx.bound != num_rows:
+            raise ShapeError(
+                f"row index plan bound {idx.bound} != {num_rows} rows")
+        return idx
+    return SegmentPlan.rows(idx, num_rows)
+
+
+def _segment_plan(ids, num_rows: int, num_segments: int,
+                  what: str = "rows") -> SegmentPlan:
+    """``ids`` as a plan over ``num_segments`` segments covering
+    ``num_rows`` rows. Raw ids are validated but not scanned for
+    segment starts; a plan is only checked against the two counts."""
+    if isinstance(ids, SegmentPlan):
+        if num_segments <= 0:
+            raise SegmentError("num_segments must be positive")
+        if ids.bound != num_segments:
+            raise SegmentError(
+                f"segment plan bound {ids.bound} != {num_segments} "
+                "segments")
+    else:
+        ids = SegmentPlan(ids, num_segments, scan=False)
+    if len(ids) != num_rows:
+        raise ShapeError(f"{num_rows} {what} but {len(ids)} segment ids")
+    return ids
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows ``x[idx]`` (first axis); duplicates allowed."""
+    """Select rows ``x[idx]`` (first axis); duplicates allowed.
+
+    ``idx`` is an integer array or a :class:`SegmentPlan` built for
+    ``x.shape[0]`` rows.
+    """
     x = as_tensor(x)
-    idx = _check_index(idx, x.shape[0], "row index")
     n = x.shape[0]
+    plan = _row_plan(idx, n)
 
     def build(out):
         def vjp(g):
-            return (scatter_sum(g, idx, n),)
+            return (scatter_sum(g, plan, n),)
         return vjp
 
-    return _apply("gather_rows", x.data[idx], (x,), build)
+    return _apply("gather_rows", np.take(x.data, plan.ids, axis=0), (x,),
+                  build)
 
 
 def scatter_sum(x: Tensor, idx, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets given by ``idx``."""
+    """Sum rows of ``x`` into ``num_segments`` buckets given by ``idx``.
+
+    ``idx`` is an integer array or a :class:`SegmentPlan` with bound
+    ``num_segments``. The sum is one ``np.bincount`` over the flattened
+    values. It adds each bucket's rows in row order, as the unbuffered
+    ``np.add`` scatter does, so the two agree bit for bit.
+    """
     x = as_tensor(x)
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise SegmentError("segment ids must be a 1-D integer array")
-    if idx.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"{x.shape[0]} rows but {idx.shape[0]} segment ids")
-    if num_segments <= 0:
-        raise SegmentError("num_segments must be positive")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
-        raise SegmentError(f"segment ids out of range [0, {num_segments})")
-    idx = idx.astype(np.int64)
-    data = np.zeros((num_segments,) + x.shape[1:])
-    np.add.at(data, idx, x.data)
+    plan = _segment_plan(idx, x.shape[0], num_segments)
+    tail = x.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    data = np.bincount(plan.flat(width), weights=x.data.ravel(),
+                       minlength=num_segments * width)
+    data = data.reshape((num_segments,) + tail)
 
     def build(out):
         def vjp(g):
-            return (gather_rows(g, idx),)
+            return (gather_rows(g, plan),)
         return vjp
 
     return _apply("scatter_sum", data, (x,), build)
+
+
+def segment_max(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
+    """Per-segment max of a 1-D array, as a constant (no tape).
+
+    Uses ``np.maximum.reduceat`` over the plan's segment starts when it
+    has them, and an unbuffered ``np.maximum`` scatter otherwise. Max is
+    exact in any order, so both give the same bits. An empty segment
+    reads ``-inf``.
+    """
+    if plan.starts is not None:
+        return np.maximum.reduceat(values, plan.starts)
+    out = np.full(plan.bound, -np.inf)
+    np.maximum.at(out, plan.ids, values)
+    return out
 
 
 def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -444,34 +485,24 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
     group sum to 1 in the output. Every group in ``[0, num_segments)``
     must be non-empty. The per-group max is subtracted as a constant
     before exponentiation; shift invariance keeps all derivatives exact.
+    ``segment_ids`` is an integer array or a :class:`SegmentPlan`; see
+    :func:`segment_max` for how the max is taken.
     """
     scores = as_tensor(scores)
     if scores.ndim != 1:
         raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")
-    idx = np.asarray(segment_ids)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise SegmentError("segment ids must be a 1-D integer array")
-    if idx.shape[0] != scores.shape[0]:
-        raise ShapeError(
-            f"{scores.shape[0]} scores but {idx.shape[0]} segment ids")
-    if num_segments <= 0:
-        raise SegmentError("num_segments must be positive")
-    if idx.size == 0:
+    plan = _segment_plan(segment_ids, scores.shape[0], num_segments,
+                         what="scores")
+    if len(plan) == 0:
         raise SegmentError("segment_softmax over zero scores")
-    if idx.min() < 0 or idx.max() >= num_segments:
-        raise SegmentError(f"segment ids out of range [0, {num_segments})")
-    counts = np.bincount(idx, minlength=num_segments)
-    if np.any(counts == 0):
-        empty = int(np.argmin(counts))
+    if plan.starts is None and not plan.counts.all():
+        empty = int(np.argmin(plan.counts))
         raise SegmentError(f"segment {empty} has no entries")
-    idx = idx.astype(np.int64)
-
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, idx, scores.data)
-    shifted = sub(scores, Tensor(seg_max[idx]))
+    seg_max = segment_max(scores.data, plan)
+    shifted = sub(scores, Tensor(np.take(seg_max, plan.ids)))
     num = exp(shifted)
-    denom = scatter_sum(num, idx, num_segments)
-    return div(num, gather_rows(denom, idx))
+    denom = scatter_sum(num, plan, num_segments)
+    return div(num, gather_rows(denom, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +538,8 @@ def cross_entropy(logits: Tensor, labels, mask=None) -> Tensor:
                     f"{logits.shape[0]} rows")
             idx = np.nonzero(mask)[0]
         else:
-            idx = _check_index(mask, logits.shape[0], "row index")
+            idx = check_index(mask, logits.shape[0], ShapeError,
+                              "row index")
         if idx.size == 0:
             raise EmptyBatchError("cross_entropy mask selects zero rows")
         logits = gather_rows(logits, idx)

@@ -12,6 +12,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..engine import (
+    SegmentPlan,
     Tensor,
     add,
     elu,
@@ -27,7 +28,6 @@ from ..engine import (
     sum_axis,
     tanh,
 )
-from ..graphs import NormalizedAdjacency
 
 
 class ModelError(ValueError):
@@ -72,9 +72,9 @@ class GcnLayer:
     def forward(self, h: Tensor, ctx) -> Tensor:
         adj = ctx.adj
         hw = matmul(h, self.W)
-        msgs = mul(gather_rows(hw, adj.edge_src),
+        msgs = mul(gather_rows(hw, ctx.adj_src_plan),
                    Tensor(adj.weights[:, None]))
-        agg = scatter_sum(msgs, adj.edge_dst, adj.num_nodes)
+        agg = scatter_sum(msgs, ctx.adj_dst_plan, adj.num_nodes)
         return self.act(add(agg, self.b))
 
 
@@ -108,6 +108,10 @@ class GatLayer:
                   for _ in range(num_heads)]
         self.a = [glorot(rng, 2 * d_head, 1, (2 * d_head, 1))
                   for _ in range(num_heads)]
+        # rows of a scoring the destination and the source node
+        self._a_dst = SegmentPlan.rows(np.arange(d_head), 2 * d_head)
+        self._a_src = SegmentPlan.rows(np.arange(d_head, 2 * d_head),
+                                       2 * d_head)
         self.act = activation_fn(activation)
 
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
@@ -117,28 +121,26 @@ class GatLayer:
             out.append((f"h{i}.a", self.a[i]))
         return out
 
-    def _run(self, h: Tensor, adj: NormalizedAdjacency
-             ) -> Tuple[Tensor, List[Tensor]]:
-        n = adj.num_nodes
-        e = adj.edge_src.shape[0]
-        dst_idx = np.arange(self.d_head)
-        src_idx = np.arange(self.d_head, 2 * self.d_head)
+    def _run(self, h: Tensor, ctx) -> Tuple[Tensor, List[Tensor]]:
+        n = ctx.adj.num_nodes
+        src, dst = ctx.adj_src_plan, ctx.adj_dst_plan
+        e = len(src)
         merged: Optional[Tensor] = None
         alphas: List[Tensor] = []
         for i in range(self.num_heads):
             hw = matmul(h, self.W[i])
-            a_dst = gather_rows(self.a[i], dst_idx)
-            a_src = gather_rows(self.a[i], src_idx)
+            a_dst = gather_rows(self.a[i], self._a_dst)
+            a_src = gather_rows(self.a[i], self._a_src)
             s_dst = matmul(hw, a_dst)
             s_src = matmul(hw, a_src)
             logits = leaky_relu(
-                reshape(add(gather_rows(s_dst, adj.edge_dst),
-                            gather_rows(s_src, adj.edge_src)), (e,)),
+                reshape(add(gather_rows(s_dst, dst),
+                            gather_rows(s_src, src)), (e,)),
                 alpha=self.slope)
-            alpha = segment_softmax(logits, adj.edge_dst, n)
+            alpha = segment_softmax(logits, dst, n)
             alphas.append(alpha)
-            msgs = mul(reshape(alpha, (e, 1)), gather_rows(hw, adj.edge_src))
-            out = scatter_sum(msgs, adj.edge_dst, n)
+            msgs = mul(reshape(alpha, (e, 1)), gather_rows(hw, src))
+            out = scatter_sum(msgs, dst, n)
             if merged is None:
                 merged = out
             elif self.merge == "concat":
@@ -150,11 +152,11 @@ class GatLayer:
         return self.act(merged), alphas
 
     def forward(self, h: Tensor, ctx) -> Tensor:
-        return self._run(h, ctx.adj)[0]
+        return self._run(h, ctx)[0]
 
     def forward_with_attention(self, h: Tensor, ctx
                                ) -> Tuple[Tensor, List[Tensor]]:
-        return self._run(h, ctx.adj)
+        return self._run(h, ctx)
 
 
 def _concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -198,8 +200,8 @@ class GinLayer:
     def forward(self, h: Tensor, ctx) -> Tensor:
         g = ctx.graph
         if g.num_edges:
-            agg = scatter_sum(gather_rows(h, g.edge_src), g.edge_dst,
-                              g.num_nodes)
+            src, dst = ctx.edge_plans
+            agg = scatter_sum(gather_rows(h, src), dst, g.num_nodes)
             z = add(mul(add(Tensor(1.0), self.eps), h), agg)
         else:
             z = mul(add(Tensor(1.0), self.eps), h)

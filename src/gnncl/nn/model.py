@@ -9,12 +9,14 @@ as an AttentionSnapshot for sensitivity analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine import (
+    SegmentPlan,
     Tensor,
     add,
     div,
@@ -65,7 +67,12 @@ class ModelConfig:
 
 @dataclass
 class ForwardContext:
-    """Precomputed structure for forwarding one (possibly merged) graph."""
+    """Precomputed structure for forwarding one (possibly merged) graph.
+
+    The index plans below are built on first use and then kept on the
+    context, so every forward pass over it reuses the same validated
+    indices.
+    """
 
     graph: Graph
     adj: NormalizedAdjacency
@@ -85,6 +92,29 @@ class ForwardContext:
         return cls(graph=merged, adj=normalize_adjacency(merged),
                    node_to_graph=n2g, num_graphs=len(graphs),
                    graph_labels=labels)
+
+    @cached_property
+    def adj_src_plan(self) -> SegmentPlan:
+        """Neighbor rows of the self-looped adjacency's edges."""
+        return SegmentPlan.rows(self.adj.edge_src, self.adj.num_nodes)
+
+    @cached_property
+    def adj_dst_plan(self) -> SegmentPlan:
+        """Aggregating node of each adjacency edge; sorted, so it carries
+        segment starts."""
+        return SegmentPlan(self.adj.edge_dst, self.adj.num_nodes)
+
+    @cached_property
+    def edge_plans(self) -> Tuple[SegmentPlan, SegmentPlan]:
+        """(source rows, destination segments) of the raw graph's edges."""
+        g = self.graph
+        return (SegmentPlan.rows(g.edge_src, g.num_nodes),
+                SegmentPlan(g.edge_dst, g.num_nodes))
+
+    @cached_property
+    def pool_plan(self) -> SegmentPlan:
+        """Graph of each node in a pooled context."""
+        return SegmentPlan(self.node_to_graph, self.num_graphs)
 
 
 @dataclass
@@ -114,19 +144,19 @@ class AttentionSnapshot:
 
 
 def nonparam_attention(weight: Tensor, h: Tensor,
-                       adj: NormalizedAdjacency) -> AttentionSnapshot:
+                       ctx: ForwardContext) -> AttentionSnapshot:
     """Attention synthesized from a plain projection weight.
 
     Edge score for aggregating node i and neighbor j is
     (h_i W)^T tanh(h_j W); scores normalize per neighborhood by segment
     softmax, self-loops included.
     """
+    adj, dst = ctx.adj, ctx.adj_dst_plan
     hw = matmul(h, weight)
     th = tanh(hw)
-    e = adj.edge_src.shape[0]
-    scores = sum_axis(mul(gather_rows(hw, adj.edge_dst),
-                          gather_rows(th, adj.edge_src)), axis=1)
-    coeffs = segment_softmax(scores, adj.edge_dst, adj.num_nodes)
+    scores = sum_axis(mul(gather_rows(hw, dst),
+                          gather_rows(th, ctx.adj_src_plan)), axis=1)
+    coeffs = segment_softmax(scores, dst, adj.num_nodes)
     return AttentionSnapshot(heads=[coeffs], edge_dst=adj.edge_dst,
                              num_nodes=adj.num_nodes)
 
@@ -200,7 +230,7 @@ class GnnModel:
                         num_nodes=ctx.adj.num_nodes)
                 else:
                     snapshot = nonparam_attention(self.middle_weight(), h,
-                                                  ctx.adj)
+                                                  ctx)
                     h = layer.forward(h, ctx)
             else:
                 h = layer.forward(h, ctx)
@@ -244,9 +274,9 @@ def head_logits(model: GnnModel, ctx: ForwardContext,
     """Full head logits from embeddings; pooled contexts mean-pool per
     graph first."""
     if ctx.node_to_graph is not None:
-        counts = np.bincount(ctx.node_to_graph,
-                             minlength=ctx.num_graphs).astype(np.float64)
-        emb = div(scatter_sum(emb, ctx.node_to_graph, ctx.num_graphs),
+        pool = ctx.pool_plan
+        counts = pool.counts.astype(np.float64)
+        emb = div(scatter_sum(emb, pool, ctx.num_graphs),
                   Tensor(counts[:, None]))
     return add(matmul(emb, model.head_W), model.head_b)
 

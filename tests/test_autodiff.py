@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from gnncl.engine import (
     MissingDependencyError,
+    SegmentPlan,
     Tape,
     TapeMode,
     TapeModeError,
@@ -105,23 +106,25 @@ def test_abs_l1_gradients(rng):
 def test_gather_scatter_gradients(rng):
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     idx = np.array([0, 0, 3, 4, 1, 1])
+    seg = np.array([0, 1, 1, 0, 2, 2])
+    # raw ids, then the same ids as plans
+    for idx, seg in ((idx, seg), (SegmentPlan.rows(idx, 5),
+                                  SegmentPlan(seg, 3))):
+        def loss():
+            g = gather_rows(x, idx)
+            return sq_l2_norm(scatter_sum(tanh(g), seg, 3))
 
-    def loss():
-        g = gather_rows(x, idx)
-        return sq_l2_norm(scatter_sum(tanh(g), np.array([0, 1, 1, 0, 2, 2]),
-                                      3))
-
-    assert grad_check(loss, [x]) < TOL
+        assert grad_check(loss, [x]) < TOL
 
 
 def test_segment_softmax_gradients(rng):
     scores = Tensor(rng.normal(size=7), requires_grad=True)
     seg = np.array([0, 0, 0, 1, 1, 2, 2])
+    for seg in (seg, SegmentPlan(seg, 3)):
+        def loss():
+            return sq_l2_norm(segment_softmax(scores, seg, 3))
 
-    def loss():
-        return sq_l2_norm(segment_softmax(scores, seg, 3))
-
-    assert grad_check(loss, [scores]) < TOL
+        assert grad_check(loss, [scores]) < TOL
 
 
 def test_log_softmax_cross_entropy_gradients(rng):
@@ -232,24 +235,27 @@ def test_second_derivative_of_l1_of_gradient(rng):
 
 def test_second_derivative_through_softmax(rng):
     scores = Tensor(rng.normal(size=5), requires_grad=True)
-    seg = np.array([0, 0, 1, 1, 1])
+    sorted_ids = np.array([0, 0, 1, 1, 1])
+    # raw ids; a sorted plan (max by reduceat); an unsorted plan (max by
+    # maximum.at)
+    for seg in (sorted_ids, SegmentPlan(sorted_ids, 2),
+                SegmentPlan(np.array([1, 0, 1, 0, 1]), 2)):
+        def inner():
+            return sq_l2_norm(segment_softmax(scores, seg, 2))
 
-    def inner():
-        return sq_l2_norm(segment_softmax(scores, seg, 2))
-
-    with Tape(TapeMode.HIGHER_ORDER):
-        loss = inner()
-        g = backward(loss, [scores], create_graph=True)
-        outer = backward(l1_norm(g[scores]), [scores])
-    analytic = outer[scores].data
-
-    def cap_value():
         with Tape(TapeMode.HIGHER_ORDER):
-            g = backward(inner(), [scores], create_graph=True)
-            return l1_norm(g[scores]).item()
+            loss = inner()
+            g = backward(loss, [scores], create_graph=True)
+            outer = backward(l1_norm(g[scores]), [scores])
+        analytic = outer[scores].data
 
-    numeric = central_diff(cap_value, [scores.data], eps=1e-5)[0]
-    assert max_rel_err(analytic, numeric) < 1e-5
+        def cap_value():
+            with Tape(TapeMode.HIGHER_ORDER):
+                g = backward(inner(), [scores], create_graph=True)
+                return l1_norm(g[scores]).item()
+
+        numeric = central_diff(cap_value, [scores.data], eps=1e-5)[0]
+        assert max_rel_err(analytic, numeric) < 1e-5
 
 
 def test_nested_tapes_inner_takes_recording():

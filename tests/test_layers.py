@@ -4,7 +4,7 @@ model plumbing (head masking, snapshots, checkpoints)."""
 import numpy as np
 import pytest
 
-from gnncl.engine import Tape, Tensor, backward, sum_
+from gnncl.engine import Tape, Tensor, add, backward, sum_
 from gnncl.graphs import graph_from_edges, normalize_adjacency
 from gnncl.nn import (
     ForwardContext,
@@ -239,3 +239,41 @@ def test_gradients_reach_all_parameters(rng):
             1 for p in model.parameters() if np.any(grads[p].data != 0))
         assert nonzero >= len(model.parameters()) - 1  # head bias rows may
         # miss classes but everything upstream must be live
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
+def test_context_plans_validate_once(backbone, rng, monkeypatch):
+    # plans are built on a context's first forward pass and kept on it;
+    # later passes, backward included, validate no index
+    import gnncl.engine.segments as segments
+
+    def pool(seed):
+        g = small_graph(np.random.default_rng(seed))
+        g.graph_label = seed % 2
+        return g
+
+    node_ctx = ForwardContext.for_graph(small_graph(rng))
+    pool_ctx = ForwardContext.for_pool([pool(1), pool(2), pool(3)])
+    assert not {"adj_src_plan", "adj_dst_plan", "edge_plans",
+                "pool_plan"} & set(vars(node_ctx))
+    cfg = ModelConfig(backbone=backbone, hidden_dim=4)
+    model = GnnModel(cfg, 3, 2, np.random.default_rng(7))
+
+    def step(ctx):
+        with Tape():
+            emb, snap = model.forward_embeddings(ctx, want_attention=True)
+            loss = add(sum_(head_logits(model, ctx, emb)),
+                       snap.squared_norm())
+            backward(loss, model.parameters())
+
+    for ctx in (node_ctx, pool_ctx):
+        step(ctx)
+    assert node_ctx.adj_dst_plan is node_ctx.adj_dst_plan
+    assert node_ctx.adj_dst_plan.starts is not None
+    checked = []
+    real = segments.check_index
+    monkeypatch.setattr(segments, "check_index",
+                        lambda *a: checked.append(a[3]) or real(*a))
+    for ctx in (node_ctx, pool_ctx):
+        step(ctx)
+    assert checked == []

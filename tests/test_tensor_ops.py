@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
 from gnncl.engine import (
     DomainError,
     EmptyBatchError,
     SegmentError,
+    SegmentPlan,
     ShapeError,
     Tape,
     TapeMode,
@@ -36,6 +38,7 @@ from gnncl.engine import (
     sum_axis,
     tanh,
 )
+from gnncl.engine.ops import segment_max
 
 
 def test_tensor_basics():
@@ -119,12 +122,87 @@ def test_segment_softmax_sums_to_one_per_segment():
     assert np.all(np.isfinite(out.data))
 
 
+def test_gather_scatter_validation():
+    x = Tensor(np.ones((3, 2)))
+    with Tape():
+        # bad row indices: ShapeError, whether raw or built into a plan
+        for bad in (np.array([0, 3]), np.array([-1]), np.array([[0]]),
+                    np.array([0.0])):
+            with pytest.raises(ShapeError):
+                gather_rows(x, bad)
+            with pytest.raises(ShapeError):
+                SegmentPlan.rows(bad, 3)
+        # bad segment ids: SegmentError, whether raw or built into a plan
+        for bad in (np.array([0, 0, 2]), np.array([0, -1, 1]),
+                    np.array([[0, 0, 1]]), np.array([0.0, 0.0, 1.0])):
+            with pytest.raises(SegmentError):
+                scatter_sum(x, bad, 2)
+            with pytest.raises(SegmentError):
+                SegmentPlan(bad, 2)
+        with pytest.raises(SegmentError):
+            scatter_sum(x, np.array([0, 0, 1]), 0)
+        with pytest.raises(SegmentError):
+            SegmentPlan(np.array([0, 0, 1]), 0)
+        with pytest.raises(ShapeError):
+            scatter_sum(x, np.array([0, 1]), 2)
+        # a valid plan whose bound or length does not fit the tensor
+        with pytest.raises(ShapeError):
+            gather_rows(x, SegmentPlan.rows(np.array([0, 1]), 4))
+        with pytest.raises(SegmentError):
+            scatter_sum(x, SegmentPlan(np.array([0, 0, 1]), 3), 2)
+        with pytest.raises(ShapeError):
+            scatter_sum(x, SegmentPlan(np.array([0, 1]), 2), 2)
+
+
 def test_segment_softmax_validation():
     with Tape():
         with pytest.raises(ShapeError):
             segment_softmax(Tensor([[1.0]]), np.array([0]), 1)
+        with pytest.raises(ShapeError):
+            segment_softmax(Tensor([[1.0]]), SegmentPlan(np.array([0]), 1), 1)
         with pytest.raises(SegmentError):
             segment_softmax(Tensor([1.0, 2.0]), np.array([0, 3]), 2)
+        with pytest.raises(SegmentError):
+            SegmentPlan(np.array([0, 3]), 2)
+        # an empty segment, sorted or not, raw or planned
+        for ids in (np.array([0, 2]), np.array([2, 0])):
+            with pytest.raises(SegmentError):
+                segment_softmax(Tensor([1.0, 2.0]), ids, 3)
+            with pytest.raises(SegmentError):
+                segment_softmax(Tensor([1.0, 2.0]), SegmentPlan(ids, 3), 3)
+        with pytest.raises(SegmentError):
+            segment_softmax(Tensor(np.zeros(0)), np.zeros(0, np.int64), 1)
+        with pytest.raises(SegmentError):
+            segment_softmax(Tensor(np.zeros(0)),
+                            SegmentPlan(np.zeros(0, np.int64), 1), 1)
+        # a plan that does not fit the scores or the segment count
+        plan = SegmentPlan(np.array([0, 0, 1]), 2)
+        with pytest.raises(ShapeError):
+            segment_softmax(Tensor([1.0, 2.0]), plan, 2)
+        with pytest.raises(SegmentError):
+            segment_softmax(Tensor([1.0, 2.0, 3.0]), plan, 3)
+
+
+def test_segment_plan_layout():
+    plan = SegmentPlan(np.array([0, 0, 1, 2, 2, 2]), 3)
+    assert len(plan) == 6
+    assert plan.starts.tolist() == [0, 2, 3]
+    assert plan.counts.tolist() == [2, 1, 3]
+    assert plan.flat(2).tolist() == [0, 1, 0, 1, 2, 3, 4, 5, 4, 5, 4, 5]
+    assert plan.flat(2) is plan.flat(2)
+    # unsorted ids or an empty segment leave no starts
+    assert SegmentPlan(np.array([1, 0]), 2).starts is None
+    assert SegmentPlan(np.array([0, 2]), 3).starts is None
+    assert SegmentPlan(np.array([0, 0]), 2).starts is None
+    # raw ids wrapped by the ops are never scanned; row plans neither
+    assert SegmentPlan(np.array([0, 1]), 2, scan=False).starts is None
+    assert SegmentPlan.rows(np.array([0, 1]), 2).starts is None
+    # the plan owns a read-only copy of its ids
+    ids = np.array([0, 1])
+    plan = SegmentPlan(ids, 2)
+    ids[0] = 5
+    assert plan.ids.tolist() == [0, 1]
+    assert not plan.ids.flags.writeable
 
 
 def test_log_softmax_large_logits_stable():
@@ -232,3 +310,80 @@ def test_relu_exp_values():
         x = Tensor([-2.0, 0.0, 3.0])
         assert np.allclose(relu(x).data, [0.0, 0.0, 3.0])
         assert np.allclose(exp(x).data, np.exp([-2.0, 0.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# planned kernels against their oracles, bit for bit
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+def _add_at(values, ids, n):
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, ids, values)
+    return out
+
+
+@st.composite
+def _segments(draw, sort):
+    n = draw(st.integers(1, 6))
+    ids = draw(hnp.arrays(np.int64, st.integers(0, 24),
+                          elements=st.integers(0, n - 1)))
+    if sort:
+        ids = np.sort(ids)
+    return ids, n
+
+
+@given(_segments(sort=False), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_planned_scatter_matches_add_at(seg, k, m, data):
+    # unsorted and duplicate ids, empty segments, zero rows; one plan
+    # serves three widths
+    ids, n = seg
+    plan = SegmentPlan(ids, n)
+    for tail in ((), (k,), (k, m)):
+        x = data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
+                                 elements=_finite))
+        want = _add_at(x, ids, n)
+        with Tape():
+            assert np.array_equal(scatter_sum(Tensor(x), plan, n).data, want)
+            assert np.array_equal(scatter_sum(Tensor(x), ids, n).data, want)
+
+
+@given(_segments(sort=False), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_planned_gather_and_its_vjp_match_oracles(seg, k, m, data):
+    # rows gathered by fancy indexing; the VJP scatters with the same
+    # plan and must equal np.add.at of the upstream gradient
+    ids, n = seg
+    plan = SegmentPlan.rows(ids, n)
+    for tail in ((), (k,), (k, m)):
+        x = Tensor(data.draw(hnp.arrays(np.float64, (n,) + tail,
+                                        elements=_finite)),
+                   requires_grad=True)
+        w = data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
+                                 elements=_finite))
+        with Tape():
+            out = gather_rows(x, plan)
+            assert np.array_equal(out.data, x.data[ids])
+            grad = backward(sum_(mul(out, Tensor(w))), [x])[x]
+        assert np.array_equal(grad.data, _add_at(w, ids, n))
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_segment_max_matches_maximum_at(sort, data):
+    # sorted ids with no empty segment take the reduceat path
+    ids, n = data.draw(_segments(sort=sort))
+    values = data.draw(hnp.arrays(np.float64, len(ids), elements=_finite))
+    plan = SegmentPlan(ids, n)
+    want = np.full(n, -np.inf)
+    np.maximum.at(want, ids, values)
+    assert np.array_equal(segment_max(values, plan), want)
+    if plan.starts is not None and len(ids):
+        with Tape():
+            planned = segment_softmax(Tensor(values), plan, n).data
+            raw = segment_softmax(Tensor(values), ids, n).data
+        assert np.array_equal(planned, raw)

@@ -26,6 +26,7 @@ from ..engine import (
     backward,
     binary_cross_entropy,
     cross_entropy,
+    gather_rows,
     mul,
     reshape,
     square,
@@ -62,17 +63,25 @@ def _abs_grads(model: GnnModel, grads: GradientMap) -> ArraySet:
 
 
 def task_loss_from_logits(logits: Tensor, ctx: ForwardContext,
-                          local_labels: np.ndarray,
-                          mask: Optional[np.ndarray]) -> Tensor:
-    """Cross entropy over masked nodes, or sigmoid loss per pooled graph."""
+                          local_labels: Optional[np.ndarray],
+                          rows: Optional[np.ndarray] = None) -> Tensor:
+    """The task loss: cross entropy of class-local node labels, or the
+    sigmoid loss of each pooled graph against ``ctx.graph_labels``.
+
+    ``rows`` restricts the loss to some nodes (a boolean mask or row
+    indices) or to some pooled graphs (row indices); all rows by default.
+    """
     if ctx.node_to_graph is None:
-        return cross_entropy(logits, local_labels, mask)
-    flat = reshape(logits, (logits.shape[0],))
-    return binary_cross_entropy(flat, ctx.graph_labels)
+        return cross_entropy(logits, local_labels, rows)
+    labels = ctx.graph_labels
+    if rows is not None:
+        logits = gather_rows(logits, rows)
+        labels = labels[rows]
+    return binary_cross_entropy(reshape(logits, (logits.shape[0],)), labels)
 
 
 def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
-                            local_labels: np.ndarray) -> ArraySet:
+                            local_labels: Optional[np.ndarray]) -> ArraySet:
     """|gradient| of the full-batch training loss, per parameter."""
     params = model.parameters()
     with Tape():
@@ -150,7 +159,7 @@ def capacity_from_grads(model: GnnModel, f: GradientMap, g: GradientMap,
 
 
 def capacity_regularizer(model: GnnModel, ctx: ForwardContext, task,
-                         local_labels: np.ndarray, lambda_l: float,
+                         local_labels: Optional[np.ndarray], lambda_l: float,
                          lambda_t: float, beta: float) -> Tensor:
     """The l1 capacity term as a differentiable scalar.
 

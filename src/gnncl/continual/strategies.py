@@ -17,12 +17,10 @@ from ..engine import (
     GradientMap,
     Tape,
     TapeMode,
-    TapeModeError,
     Tensor,
     add,
     backward,
     binary_cross_entropy,
-    cross_entropy,
     div,
     gather_rows,
     log_softmax,
@@ -49,6 +47,7 @@ from .importance import (
     combine_importance,
     compute_loss_importance,
     compute_topo_importance,
+    task_loss_from_logits,
     twp_penalty,
 )
 
@@ -70,7 +69,6 @@ class StrategyConfig:
     memory_per_task: int = 10
     epochs: int = 200
     lr: float = 0.005
-    capacity_mode: str = "exact"
     early_stop_patience: int = 0
 
     def __post_init__(self):
@@ -79,10 +77,6 @@ class StrategyConfig:
         for name in ("lambda_l", "lambda_t", "beta", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.capacity_mode not in ("exact", "frozen"):
-            raise ConfigError(
-                f"capacity_mode must be exact|frozen, got "
-                f"'{self.capacity_mode}'")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.distill_temperature <= 0:
@@ -126,34 +120,40 @@ class TaskView:
                 [self.seq.graphs[i] for i in idx])
         return self._test_ctx[k]
 
+    def labels(self, k: int) -> Optional[np.ndarray]:
+        """Class-local node labels of task k; None for graph tasks,
+        whose labels travel on their pooled contexts."""
+        return self.local_labels[k] if self.node else None
+
     def train_loss(self, model: GnnModel, k: int,
                    want_attention: bool = False):
         """Full-batch training loss for task k; returns (loss, snapshot)."""
         task = self.seq.tasks[k]
         ctx = self.train_ctx(k)
         logits, snap = model_forward(model, ctx, task, want_attention)
-        if self.node:
-            loss = cross_entropy(logits, self.local_labels[k],
-                                 task.train_mask)
-        else:
-            flat = reshape(logits, (logits.shape[0],))
-            loss = binary_cross_entropy(flat, ctx.graph_labels)
+        loss = task_loss_from_logits(logits, ctx, self.labels(k),
+                                     task.train_mask)
         return loss, snap
 
 
 @dataclass
 class EpisodicMemory:
-    """Stored examples of one finished task: indices plus label copies.
+    """Stored examples of one finished task and the context they are
+    scored on.
 
-    Node tasks keep node indices into the shared graph (the structure
-    stays visible; only these labels survive the task). Graph tasks
-    keep a prebuilt context over the remembered graphs.
+    ``indices`` name the remembered nodes or pool graphs. Node tasks
+    score ``rows`` (the remembered nodes) of the shared graph's context:
+    the structure stays visible, and ``labels`` keeps the class-local
+    labels of those nodes alone, -1 elsewhere. Graph tasks keep a
+    context pooled over the remembered graphs, scored whole
+    (``rows`` None), and ``labels`` copies its graph labels.
     """
 
     task_index: int
     indices: np.ndarray
     labels: np.ndarray
-    ctx: Optional[ForwardContext] = None
+    ctx: ForwardContext
+    rows: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -256,27 +256,21 @@ class _QuadraticAnchorStrategy(Strategy):
                              twp_penalty(self.model, self.records)))
 
     def _per_example_scalars(self, k: int):
-        """Yield (tape-live scalar, example count) pairs for task k."""
+        """Yield one tape-live scalar per training example of task k."""
         task = self.view.seq.tasks[k]
         ctx = self.view.train_ctx(k)
-        if self.view.node:
-            idx = task.train_nodes()
-            logits, _ = model_forward(self.model, ctx, task)
-            labels = self.view.local_labels[k]
-            for i in idx:
-                yield logits, int(i), labels
-        else:
-            logits, _ = model_forward(self.model, ctx, task)
-            for i in range(ctx.num_graphs):
-                yield logits, i, ctx.graph_labels
+        logits, _ = model_forward(self.model, ctx, task)
+        rows = task.train_nodes() if self.view.node else range(
+            ctx.num_graphs)
+        for i in rows:
+            yield self._example_scalar(k, ctx, logits, int(i))
 
     def _accumulate(self, k: int, transform) -> ArraySet:
         named = self.model.named_parameters()
         acc = {name: np.zeros(p.shape) for name, p in named}
         count = 0
         with Tape():
-            for logits, i, labels in self._per_example_scalars(k):
-                scalar = self._example_scalar(logits, i, labels)
+            for scalar in self._per_example_scalars(k):
                 grads = backward(scalar, self.params)
                 for name, p in named:
                     acc[name] += transform(grads[p].data)
@@ -285,7 +279,8 @@ class _QuadraticAnchorStrategy(Strategy):
             raise ConfigError(f"task {k} has no training examples")
         return {name: a / count for name, a in acc.items()}
 
-    def _example_scalar(self, logits, i, labels):
+    def _example_scalar(self, k: int, ctx: ForwardContext,
+                        logits: Tensor, i: int) -> Tensor:
         raise NotImplementedError
 
 
@@ -294,11 +289,9 @@ class EwcStrategy(_QuadraticAnchorStrategy):
 
     kind = "EWC"
 
-    def _example_scalar(self, logits, i, labels):
-        if self.view.node:
-            return cross_entropy(logits, labels, np.asarray([i]))
-        flat = reshape(gather_rows(logits, np.asarray([i])), (1,))
-        return binary_cross_entropy(flat, labels[i:i + 1])
+    def _example_scalar(self, k, ctx, logits, i):
+        return task_loss_from_logits(logits, ctx, self.view.labels(k),
+                                     np.asarray([i]))
 
     def after_task(self, k: int) -> None:
         fisher = self._accumulate(k, np.square)
@@ -313,7 +306,7 @@ class MasStrategy(_QuadraticAnchorStrategy):
 
     kind = "MAS"
 
-    def _example_scalar(self, logits, i, labels):
+    def _example_scalar(self, k, ctx, logits, i):
         return sq_l2_norm(gather_rows(logits, np.asarray([i])))
 
     def after_task(self, k: int) -> None:
@@ -368,13 +361,8 @@ class LwfStrategy(Strategy):
         full = head_logits(self.model, ctx, emb)
         now_logits = matmul(full, class_columns(self.model,
                                                 task_now.classes))
-        if self.view.node:
-            loss = cross_entropy(now_logits, self.view.local_labels[k],
-                                 task_now.train_mask)
-        else:
-            loss = binary_cross_entropy(
-                reshape(now_logits, (now_logits.shape[0],)),
-                ctx.graph_labels)
+        loss = task_loss_from_logits(now_logits, ctx, self.view.labels(k),
+                                     task_now.train_mask)
         if self.teacher is None:
             return loss
         tau = self.cfg.distill_temperature
@@ -425,14 +413,9 @@ class GemStrategy(Strategy):
     def _memory_grad(self, mem: EpisodicMemory) -> np.ndarray:
         task = self.view.seq.tasks[mem.task_index]
         with Tape():
-            if self.view.node:
-                logits, _ = model_forward(self.model, self.view.ctx, task)
-                sel = gather_rows(logits, mem.indices)
-                loss = cross_entropy(sel, mem.labels)
-            else:
-                logits, _ = model_forward(self.model, mem.ctx, task)
-                flat = reshape(logits, (logits.shape[0],))
-                loss = binary_cross_entropy(flat, mem.labels)
+            logits, _ = model_forward(self.model, mem.ctx, task)
+            loss = task_loss_from_logits(logits, mem.ctx, mem.labels,
+                                         mem.rows)
             grads = backward(loss, self.params)
         return self._flatten(grads)
 
@@ -452,9 +435,12 @@ class GemStrategy(Strategy):
             nodes = task.train_nodes()
             take = min(self.cfg.memory_per_task, len(nodes))
             idx = np.sort(rng.choice(nodes, size=take, replace=False))
-            labels = self.view.local_labels[k][idx].copy()
+            local = self.view.local_labels[k]
+            labels = np.full(local.shape, -1, dtype=np.int64)
+            labels[idx] = local[idx]
             self.memory.append(EpisodicMemory(
-                task_index=k, indices=idx, labels=labels))
+                task_index=k, indices=idx, labels=labels,
+                ctx=self.view.ctx, rows=idx))
         else:
             pool = np.asarray(task.train_graphs)
             take = min(self.cfg.memory_per_task, len(pool))
@@ -477,50 +463,25 @@ class TwpStrategy(Strategy):
         self.records: List[ImportanceRecord] = []
 
     def tape_mode(self, k: int) -> TapeMode:
-        if self.cfg.beta > 0 and self.cfg.capacity_mode == "exact":
+        if self.cfg.beta > 0:
             return TapeMode.HIGHER_ORDER
         return TapeMode.FIRST_ORDER
 
-    def _frozen_capacity_value(self, k: int) -> float:
-        i_loss = compute_loss_importance(
-            self.model, self.view.train_ctx(k), self.view.seq.tasks[k],
-            self.view.local_labels[k] if self.view.node else None)
-        i_ts = compute_topo_importance(
-            self.model, self.view.train_ctx(k), self.view.seq.tasks[k])
-        total = 0.0
-        for name in i_loss:
-            total += (self.cfg.lambda_l * i_loss[name]
-                      + self.cfg.lambda_t * i_ts[name]).sum()
-        return self.cfg.beta * float(total)
-
     def objective(self, k: int) -> Tensor:
-        try:
-            loss, _ = self.view.train_loss(self.model, k)
-            total = add(loss, twp_penalty(self.model, self.records))
-            if self.cfg.beta > 0:
-                if self.cfg.capacity_mode == "exact":
-                    cap = capacity_regularizer(
-                        self.model, self.view.train_ctx(k),
-                        self.view.seq.tasks[k],
-                        self.view.local_labels[k] if self.view.node
-                        else None,
-                        self.cfg.lambda_l, self.cfg.lambda_t,
-                        self.cfg.beta)
-                else:
-                    cap = Tensor(np.asarray(
-                        self._frozen_capacity_value(k)))
-                total = add(total, cap)
-        except TapeModeError as e:
-            raise ConfigError(
-                "the capacity term cannot be optimized exactly for this "
-                "loss; set beta=0 or capacity_mode='frozen'") from e
+        loss, _ = self.view.train_loss(self.model, k)
+        total = add(loss, twp_penalty(self.model, self.records))
+        if self.cfg.beta > 0:
+            total = add(total, capacity_regularizer(
+                self.model, self.view.train_ctx(k), self.view.seq.tasks[k],
+                self.view.labels(k), self.cfg.lambda_l, self.cfg.lambda_t,
+                self.cfg.beta))
         return total
 
     def after_task(self, k: int) -> None:
         ctx = self.view.train_ctx(k)
         task = self.view.seq.tasks[k]
-        labels = self.view.local_labels[k] if self.view.node else None
-        i_loss = compute_loss_importance(self.model, ctx, task, labels)
+        i_loss = compute_loss_importance(self.model, ctx, task,
+                                         self.view.labels(k))
         i_ts = compute_topo_importance(self.model, ctx, task)
         self.records.append(combine_importance(
             self.model, i_loss, i_ts, self.cfg.lambda_l,

@@ -1,7 +1,6 @@
 """Reverse-mode differentiation engine on dense float64 arrays."""
 
 from .ops import (
-    FIRST_ORDER_ONLY,
     abs_,
     add,
     backward,
@@ -68,9 +67,8 @@ Tensor.__neg__ = neg
 Tensor.__matmul__ = matmul
 
 __all__ = [
-    "Adam", "DomainError", "EmptyBatchError", "FIRST_ORDER_ONLY",
-    "GradientMap", "MissingDependencyError", "Node", "SegmentError",
-    "SegmentPlan",
+    "Adam", "DomainError", "EmptyBatchError", "GradientMap",
+    "MissingDependencyError", "Node", "SegmentError", "SegmentPlan",
     "ShapeError", "Tape", "TapeMode", "TapeModeError", "Tensor",
     "abs_", "active_tape", "add", "as_tensor", "backward",
     "binary_cross_entropy", "broadcast_to", "cross_entropy", "div", "elu",

@@ -4,9 +4,7 @@ Every differentiable operation records a node whose VJP is itself built
 from these same operations. Running a backward pass with
 ``create_graph=True`` on a HIGHER_ORDER tape therefore records the
 backward computation too, and a second backward pass differentiates
-through it. The one deliberate exception is ``binary_cross_entropy``,
-whose VJP is a fused numpy kernel: it refuses to record on HIGHER_ORDER
-tapes.
+through it.
 
 Stabilizing shifts (the row max in ``cross_entropy``, the per-segment
 max in ``segment_softmax``) are detached constants. Softmax is shift
@@ -36,9 +34,6 @@ from .tensor import (
 )
 from .segments import SegmentPlan, check_index
 
-# Operations whose VJPs are opaque kernels rather than compositions.
-FIRST_ORDER_ONLY = frozenset({"binary_cross_entropy"})
-
 
 def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
            vjp_builder) -> Tensor:
@@ -50,10 +45,6 @@ def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
     ids = tuple(tape.node_id_of(t) for t in inputs)
     if all(i is None for i in ids):
         return out
-    if tape.mode is TapeMode.HIGHER_ORDER and op in FIRST_ORDER_ONLY:
-        raise TapeModeError(
-            f"'{op}' cannot record on a HIGHER_ORDER tape; its backward "
-            "pass is not differentiable")
     nid = tape.append(Node(op, ids, vjp_builder(out)))
     out._link(tape, nid)
     return out
@@ -559,11 +550,11 @@ def cross_entropy(logits: Tensor, labels, mask=None) -> Tensor:
 
 
 def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean sigmoid cross entropy with a fused, first-order-only VJP.
+    """Mean sigmoid cross entropy of raw logits against targets in [0, 1].
 
-    Works from raw logits with the usual log1p(exp(-|z|)) stabilization.
-    Raises :class:`TapeModeError` if asked to record on a HIGHER_ORDER
-    tape, because the gradient kernel is opaque to the tape.
+    The value uses the usual log1p(exp(-|z|)) stabilization. The VJP,
+    ``g * (sigmoid(z) - t) / n``, is built from tape ops, so it can be
+    differentiated again.
     """
     logits = as_tensor(logits)
     t = np.asarray(targets, dtype=np.float64)
@@ -577,12 +568,11 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
     z = logits.data
     val = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = float(z.size)
-    p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                 np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
 
     def build(out):
         def vjp(g):
-            return (Tensor(g.data * (p - t) / n),)
+            return (div(mul(g, sub(sigmoid(logits), Tensor(t))),
+                        Tensor(n)),)
         return vjp
 
     return _apply("binary_cross_entropy", np.asarray(val.sum() / n),

@@ -7,9 +7,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..continual import TaskView
-from ..engine import EmptyBatchError, Tape
+from ..engine import EmptyBatchError
 from ..nn import GnnModel, model_forward
 
+# Predictions are single-label and always inside the task's classes,
+# so micro-F1 equals accuracy; "micro_f1" is an alias for it.
 METRICS = ("accuracy", "micro_f1", "auc")
 
 
@@ -21,20 +23,6 @@ def accuracy(pred: np.ndarray, true: np.ndarray) -> float:
     if pred.size == 0:
         raise EmptyBatchError("accuracy over zero examples")
     return float(np.mean(pred == true))
-
-
-def micro_f1(pred: np.ndarray, true: np.ndarray,
-             num_classes: int) -> float:
-    """Micro-averaged F1 over the task's classes (aggregated counts)."""
-    if pred.size == 0:
-        raise EmptyBatchError("micro_f1 over zero examples")
-    tp = fp = fn = 0
-    for c in range(num_classes):
-        tp += int(np.sum((pred == c) & (true == c)))
-        fp += int(np.sum((pred == c) & (true != c)))
-        fn += int(np.sum((pred != c) & (true == c)))
-    denom = 2 * tp + fp + fn
-    return float(2 * tp / denom) if denom else 0.0
 
 
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -64,32 +52,29 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate(model: GnnModel, view: TaskView, j: int,
              metric: str) -> float:
-    """Test-set score of task j under the current parameters."""
+    """Test-set score of task j under the current parameters.
+
+    Opens no tape: inference needs no gradients, so the forward pass
+    builds no VJPs.
+    """
     if metric not in METRICS:
         raise MetricError(f"unknown metric '{metric}'")
     task = view.seq.tasks[j]
-    with Tape():
-        logits, _ = model_forward(model, view.test_ctx(j), task)
+    logits, _ = model_forward(model, view.test_ctx(j), task)
     out = logits.data
     if view.node:
         rows = task.test_nodes()
         if rows.size == 0:
             raise EmptyBatchError(f"task {j} has an empty test mask")
+        if metric == "auc":
+            raise MetricError("AUC applies to binary graph tasks only")
         pred = np.argmax(out[rows], axis=1)
-        true = view.local_labels[j][rows]
-        if metric == "accuracy":
-            return accuracy(pred, true)
-        if metric == "micro_f1":
-            return micro_f1(pred, true, len(task.classes))
-        raise MetricError("AUC applies to binary graph tasks only")
+        return accuracy(pred, view.local_labels[j][rows])
     labels = view.test_ctx(j).graph_labels.astype(np.int64)
     scores = out[:, 0]
     if metric == "auc":
         return auc_score(scores, labels)
-    pred = (scores > 0).astype(np.int64)
-    if metric == "accuracy":
-        return accuracy(pred, labels)
-    return micro_f1(pred, labels, 2)
+    return accuracy((scores > 0).astype(np.int64), labels)
 
 
 class RMatrix:

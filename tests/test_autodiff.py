@@ -209,28 +209,34 @@ def test_second_derivative_cubic():
 
 
 def test_second_derivative_of_l1_of_gradient(rng):
-    # the capacity-style objective: d/dw ||dL/dw||_1 with L = sum(tanh(w*x))
+    # the capacity-style objective: d/dw ||dL/dw||_1, with L = sum(tanh(w*x))
+    # and with L the sigmoid cross entropy of the logits w*x
     w = Tensor(rng.normal(size=4), requires_grad=True)
     x_const = rng.normal(size=4)
+    targets = rng.random(4)
 
-    def inner():
+    def tanh_sum():
         return sum_(tanh(mul(w, Tensor(x_const))))
 
-    with Tape(TapeMode.HIGHER_ORDER):
-        loss = inner()
-        g = backward(loss, [w], create_graph=True)
-        cap = l1_norm(g[w])
-        outer = backward(cap, [w])
-    analytic = outer[w].data
+    def bce():
+        return binary_cross_entropy(mul(w, Tensor(x_const)), targets)
 
-    def cap_value():
+    for inner in (tanh_sum, bce):
         with Tape(TapeMode.HIGHER_ORDER):
             loss = inner()
             g = backward(loss, [w], create_graph=True)
-            return l1_norm(g[w]).item()
+            cap = l1_norm(g[w])
+            outer = backward(cap, [w])
+        analytic = outer[w].data
 
-    numeric = central_diff(cap_value, [w.data], eps=1e-5)[0]
-    assert max_rel_err(analytic, numeric) < 1e-6
+        def cap_value():
+            with Tape(TapeMode.HIGHER_ORDER):
+                loss = inner()
+                g = backward(loss, [w], create_graph=True)
+                return l1_norm(g[w]).item()
+
+        numeric = central_diff(cap_value, [w.data], eps=1e-5)[0]
+        assert max_rel_err(analytic, numeric) < 1e-6, inner.__name__
 
 
 def test_second_derivative_through_softmax(rng):

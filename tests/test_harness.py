@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnncl.continual.strategies import ConfigError
+from gnncl.continual.strategies import ConfigError, TwpStrategy
 from gnncl.harness.runner import (
     ABLATION_PRESET,
     SBM_DEFAULTS,
@@ -117,20 +117,24 @@ class TestRunSequence:
         with pytest.raises(ConfigError):
             run_sequence(run_config_from_dict(toy_cfg(metric="auc")))
 
-    def test_failure_writes_partial_artifacts(self, tmp_path):
+    def test_failure_writes_partial_artifacts(self, tmp_path, monkeypatch):
+        def refuse_task_1(strategy, k):
+            if k == 1:
+                raise ConfigError("task 1 refused")
+
+        monkeypatch.setattr(TwpStrategy, "before_task", refuse_task_1)
         raw = toy_cfg(out_dir=str(tmp_path / "fail"))
         raw["dataset"] = {"kind": "graphs", "num_tasks": 2,
                           "graphs_per_task": 8, "nodes_min": 5,
                           "nodes_max": 8, "feature_dim": 4,
                           "train_fraction": 0.6}
-        raw["strategy"] = {"kind": "TWP", "beta": 0.01,
-                           "capacity_mode": "exact", "epochs": 3}
+        raw["strategy"] = {"kind": "TWP", "beta": 0.01, "epochs": 3}
         with pytest.raises(ConfigError):
             run_sequence(run_config_from_dict(raw))
         m = json.loads((tmp_path / "fail" / "metrics.json").read_text())
         assert m["failed"] is True
         assert "ConfigError" in m["error"]
-        assert m["completed_rows"] == 0
+        assert m["completed_rows"] == 1
         assert (tmp_path / "fail" / "R.csv").exists()
 
 

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnncl.continual import TaskView
 from gnncl.harness.metrics import (
     MetricError,
     RMatrix,
     accuracy,
     auc_score,
     compute_ap_af,
-    micro_f1,
+    evaluate,
 )
+from gnncl.harness.runner import build_dataset, build_model, resolve_dataset
+from gnncl.nn import ModelConfig
 
 
 def test_accuracy_basic():
@@ -22,11 +25,19 @@ def test_accuracy_basic():
 
 
 def test_micro_f1_equals_accuracy_single_label():
-    # with exactly one label per sample, micro-F1 == accuracy
-    rng = np.random.default_rng(3)
-    pred = rng.integers(0, 4, size=50)
-    true = rng.integers(0, 4, size=50)
-    assert micro_f1(pred, true, 4) == pytest.approx(accuracy(pred, true))
+    # with exactly one label per sample, micro-F1 == accuracy, bit for bit,
+    # on node tasks and on graph tasks
+    for dataset in ({"kind": "sbm", "num_classes": 4, "classes_per_task": 2,
+                     "nodes_per_class": 10},
+                    {"kind": "graphs", "num_tasks": 2, "graphs_per_task": 8,
+                     "nodes_min": 5, "nodes_max": 8}):
+        seq = build_dataset(resolve_dataset(dataset), 3)
+        view = TaskView(seq)
+        model = build_model(seq, ModelConfig(backbone="gcn", hidden_dim=8),
+                            3)
+        for j in range(len(seq.tasks)):
+            assert (evaluate(model, view, j, "micro_f1")
+                    == evaluate(model, view, j, "accuracy"))
 
 
 def test_auc_hand_value():

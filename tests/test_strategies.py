@@ -3,19 +3,30 @@
 import numpy as np
 import pytest
 
+from gnncl.continual import capacity_regularizer
 from gnncl.continual.strategies import (
     ConfigError,
     StrategyConfig,
     TaskView,
     make_strategy,
 )
-from gnncl.harness.runner import build_dataset, build_model
+from gnncl.engine import Tape, TapeMode, backward
+from gnncl.harness.runner import (
+    build_dataset,
+    build_model,
+    run_config_from_dict,
+    run_sequence,
+)
 from gnncl.nn.model import ModelConfig
+from conftest import central_diff, max_rel_err
 
 
 TOY_DS = {"kind": "sbm", "num_classes": 4, "classes_per_task": 2,
           "nodes_per_class": 10, "p_in": 0.3, "p_out": 0.05,
           "feature_dim": 6, "noise_sigma": 0.3, "train_fraction": 0.6}
+GRAPHS_DS = {"kind": "graphs", "num_tasks": 2, "graphs_per_task": 8,
+             "nodes_min": 5, "nodes_max": 8, "feature_dim": 4,
+             "train_fraction": 0.6}
 
 
 def _toy(seed=3, backbone="gcn", hidden=8):
@@ -234,8 +245,11 @@ class TestConfigValidation:
                 StrategyConfig(**{field_name: -1.0})
 
     def test_bad_capacity_mode(self):
-        with pytest.raises(ConfigError):
-            StrategyConfig(capacity_mode="sometimes")
+        # the capacity term is always exact; configs naming the removed
+        # capacity_mode field fail loudly instead of being ignored
+        raw = {"strategy": {"kind": "TWP", "capacity_mode": "frozen"}}
+        with pytest.raises(ConfigError, match="capacity_mode"):
+            run_config_from_dict(raw)
 
     def test_bad_epochs_temperature_memory(self):
         with pytest.raises(ConfigError):
@@ -247,35 +261,37 @@ class TestConfigValidation:
 
 
 class TestTwpCapacityModes:
-    def test_exact_capacity_rejected_for_graph_tasks(self):
-        ds = {"kind": "graphs", "num_tasks": 2, "graphs_per_task": 8,
-              "nodes_min": 5, "nodes_max": 8, "feature_dim": 4,
-              "train_fraction": 0.6}
-        seq = build_dataset(ds, 0)
+    def test_exact_capacity_gradient_on_graph_tasks(self):
+        # the capacity term differentiates through the graph-level BCE
+        seq = build_dataset(GRAPHS_DS, 0)
         view = TaskView(seq)
-        mc = ModelConfig(backbone="gcn", hidden_dim=8)
-        model = build_model(seq, mc, 0)
-        strat = make_strategy(
-            StrategyConfig(kind="TWP", beta=0.01, capacity_mode="exact",
-                           epochs=2), model, view, 0)
-        with pytest.raises(ConfigError):
-            strat.train_task(0)
+        ctx, task = view.train_ctx(0), seq.tasks[0]
+        for backbone in ("gcn", "gin"):
+            model = build_model(
+                seq, ModelConfig(backbone=backbone, hidden_dim=8), 0)
+            params = model.parameters()
+            with Tape(TapeMode.HIGHER_ORDER):
+                cap = capacity_regularizer(model, ctx, task, None,
+                                           1.0, 0.5, 0.1)
+                grads = backward(cap, params)
 
-    def test_frozen_capacity_trains_graph_tasks(self):
-        ds = {"kind": "graphs", "num_tasks": 2, "graphs_per_task": 8,
-              "nodes_min": 5, "nodes_max": 8, "feature_dim": 4,
-              "train_fraction": 0.6}
-        seq = build_dataset(ds, 0)
-        view = TaskView(seq)
-        mc = ModelConfig(backbone="gcn", hidden_dim=8)
-        model = build_model(seq, mc, 0)
-        strat = make_strategy(
-            StrategyConfig(kind="TWP", beta=0.01, capacity_mode="frozen",
-                           epochs=3), model, view, 0)
-        for k in range(2):
-            curve = strat.train_task(k)
-            assert all(np.isfinite(v) for v in curve)
-        assert len(strat.records) == 2
+            def cap_value():
+                with Tape(TapeMode.HIGHER_ORDER):
+                    return capacity_regularizer(model, ctx, task, None,
+                                                1.0, 0.5, 0.1).item()
+
+            for name, p in model.named_parameters():
+                numeric = central_diff(cap_value, [p.data])[0]
+                assert max_rel_err(grads[p].data, numeric) < 1e-6, (
+                    backbone, name)
+
+    def test_default_twp_trains_graph_tasks(self):
+        result = run_sequence(run_config_from_dict({
+            "dataset": {"kind": "graphs", "num_tasks": 2},
+            "model": {"backbone": "gcn"},
+            "strategy": {"kind": "TWP", "epochs": 3}}))
+        assert all(np.isfinite(v) for c in result.loss_curves for v in c)
+        assert result.r.complete_rows() == 2
 
     def test_records_accumulate_per_task(self):
         seq, view, mc = _toy()

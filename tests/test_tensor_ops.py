@@ -13,8 +13,6 @@ from gnncl.engine import (
     SegmentPlan,
     ShapeError,
     Tape,
-    TapeMode,
-    TapeModeError,
     Tensor,
     add,
     backward,
@@ -245,13 +243,6 @@ def test_binary_cross_entropy_value_and_stability():
         extreme = binary_cross_entropy(Tensor([500.0, -500.0]),
                                        np.array([0.0, 1.0]))
         assert np.isfinite(extreme.item())
-
-
-def test_binary_cross_entropy_refuses_higher_order_tape():
-    with Tape(TapeMode.HIGHER_ORDER):
-        with pytest.raises(TapeModeError):
-            binary_cross_entropy(Tensor([0.0], requires_grad=True),
-                                 np.array([1.0]))
 
 
 def test_backward_requires_scalar():

@@ -13,6 +13,7 @@ from gnncl.engine import (
     SegmentPlan,
     ShapeError,
     Tape,
+    TapeMode,
     Tensor,
     add,
     backward,
@@ -243,6 +244,20 @@ def test_binary_cross_entropy_value_and_stability():
         extreme = binary_cross_entropy(Tensor([500.0, -500.0]),
                                        np.array([0.0, 1.0]))
         assert np.isfinite(extreme.item())
+
+
+def test_binary_cross_entropy_records_on_higher_order_tape():
+    z = Tensor([-1.5, 0.0, 2.0], requires_grad=True)
+    targets = np.array([1.0, 0.0, 1.0])
+    sig = 1.0 / (1.0 + np.exp(-z.data))
+    with Tape(TapeMode.HIGHER_ORDER):
+        loss = binary_cross_entropy(z, targets)
+        assert loss._node_id is not None
+        g = backward(loss, [z], create_graph=True)[z]
+        assert g._node_id is not None
+        assert np.allclose(g.data, (sig - targets) / 3, rtol=1e-12)
+        second = backward(sum_(g), [z])[z]
+    assert np.allclose(second.data, sig * (1.0 - sig) / 3, rtol=1e-12)
 
 
 def test_backward_requires_scalar():

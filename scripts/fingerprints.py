@@ -1,9 +1,12 @@
 """R.csv fingerprints for every dataset kind x backbone x strategy.
 
-Prints one line per run, ``<kind>-<backbone>-<STRATEGY> <sha256>`` with
-the sha256 of the run's R.csv, or the exception type name in place of
-the hash when the run fails. Diff the output of two checkouts to see
-which runs changed:
+Prints one line per run, ``<kind>-<backbone>-<STRATEGY> <r> <curves>``:
+the sha256 of the run's R.csv and the sha256 of its loss curves (every
+task's per-epoch losses as float64 bytes, in task order), or the
+exception type name in place of both when the run fails. R.csv holds
+accuracies, which a last-bits change in training rarely moves; such a
+change shows in the second hash alone. Diff the output of two checkouts
+to see which runs changed:
 
     PYTHONPATH=src python3 scripts/fingerprints.py > fp.txt
 
@@ -12,6 +15,8 @@ Hashes depend on the BLAS build, so compare outputs made on one machine.
 
 import argparse
 import hashlib
+
+import numpy as np
 
 from gnncl.continual.strategies import STRATEGY_KINDS
 from gnncl.harness.runner import run_config_from_dict, run_sequence
@@ -40,8 +45,12 @@ def main() -> None:
                 except Exception as exc:
                     print(name, type(exc).__name__, flush=True)
                     continue
-                digest = hashlib.sha256(result.r.to_csv().encode())
-                print(name, digest.hexdigest(), flush=True)
+                r_hash = hashlib.sha256(result.r.to_csv().encode())
+                curves = hashlib.sha256()
+                for curve in result.loss_curves:
+                    curves.update(np.asarray(curve, np.float64).tobytes())
+                print(name, r_hash.hexdigest(), curves.hexdigest(),
+                      flush=True)
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 from .gem import PGD_ITERATIONS, gem_project
 from .importance import (
     ImportanceRecord,
-    capacity_from_grads,
     capacity_regularizer,
     combine_importance,
     compute_loss_importance,
     compute_topo_importance,
     load_records,
     save_records,
+    snapshot_topo,
     task_loss_from_logits,
     topo_scalar,
     twp_penalty,
@@ -28,9 +28,8 @@ from .strategies import (
 __all__ = [
     "ConfigError", "EpisodicMemory", "FrozenTeacher", "ImportanceRecord",
     "PGD_ITERATIONS", "STRATEGY_KINDS", "Strategy", "StrategyConfig",
-    "TaskView", "capacity_from_grads", "capacity_regularizer",
-    "combine_importance", "compute_loss_importance",
-    "compute_topo_importance", "gem_project", "load_records",
-    "make_strategy", "save_records", "task_loss_from_logits",
-    "topo_scalar", "twp_penalty",
+    "TaskView", "capacity_regularizer", "combine_importance",
+    "compute_loss_importance", "compute_topo_importance", "gem_project",
+    "load_records", "make_strategy", "save_records", "snapshot_topo",
+    "task_loss_from_logits", "topo_scalar", "twp_penalty",
 ]

@@ -33,7 +33,13 @@ from ..engine import (
     sub,
     sum_,
 )
-from ..nn import ForwardContext, GnnModel, ModelError, model_forward
+from ..nn import (
+    AttentionSnapshot,
+    ForwardContext,
+    GnnModel,
+    ModelError,
+    model_forward,
+)
 from ..nn.checkpoint import read_blob, write_blob
 
 ArraySet = Dict[str, np.ndarray]
@@ -92,12 +98,18 @@ def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
     return _abs_grads(model, grads)
 
 
-def topo_scalar(model: GnnModel, ctx: ForwardContext, task) -> Tensor:
-    """Squared l2 norm of middle-layer attention coefficients on edges
-    aggregating into training nodes (all nodes for pooled contexts)."""
-    _, snapshot = model_forward(model, ctx, task, want_attention=True)
+def snapshot_topo(snapshot: AttentionSnapshot, ctx: ForwardContext,
+                  task) -> Tensor:
+    """Squared l2 norm of a snapshot's coefficients on edges aggregating
+    into training nodes (all edges for pooled contexts)."""
     mask = task.train_mask if ctx.node_to_graph is None else None
     return snapshot.squared_norm(mask)
+
+
+def topo_scalar(model: GnnModel, ctx: ForwardContext, task) -> Tensor:
+    """The topology scalar of :func:`snapshot_topo` on a fresh forward."""
+    _, snapshot = model_forward(model, ctx, task, want_attention=True)
+    return snapshot_topo(snapshot, ctx, task)
 
 
 def compute_topo_importance(model: GnnModel, ctx: ForwardContext,
@@ -145,36 +157,27 @@ def twp_penalty(model: GnnModel,
     return total if total is not None else Tensor(np.asarray(0.0))
 
 
-def capacity_from_grads(model: GnnModel, f: GradientMap, g: GradientMap,
-                        lambda_l: float, lambda_t: float,
-                        beta: float) -> Tensor:
-    """beta * l1 norm of the combined importance built from live,
-    differentiable gradient maps."""
+def capacity_regularizer(model: GnnModel, loss: Tensor, topo: Tensor,
+                         lambda_l: float, lambda_t: float,
+                         beta: float) -> Tensor:
+    """``beta * ||lambda_l |dloss/dp| + lambda_t |dtopo/dp|||_1``, the l1
+    capacity term, as a differentiable scalar.
+
+    ``loss`` (the task loss) and ``topo`` (see :func:`snapshot_topo`)
+    are scalars already recorded on the active HIGHER_ORDER tape, so the
+    term differentiates the forward they came from. Both gradient maps
+    are recorded with create_graph=True, so the returned scalar supports
+    a further backward pass.
+    """
+    params = model.parameters()
+    f = backward(loss, params, create_graph=True)
+    g = backward(topo, params, create_graph=True)
     total: Optional[Tensor] = None
-    for _, p in model.named_parameters():
+    for p in params:
         term = add(mul(Tensor(lambda_l), sum_(abs_(f[p]))),
                    mul(Tensor(lambda_t), sum_(abs_(g[p]))))
         total = term if total is None else add(total, term)
     return mul(Tensor(beta), total)
-
-
-def capacity_regularizer(model: GnnModel, ctx: ForwardContext, task,
-                         local_labels: Optional[np.ndarray], lambda_l: float,
-                         lambda_t: float, beta: float) -> Tensor:
-    """The l1 capacity term as a differentiable scalar.
-
-    Must run under an active HIGHER_ORDER tape: both gradient maps are
-    recorded with create_graph=True so the returned scalar supports a
-    further backward pass.
-    """
-    params = model.parameters()
-    logits, snapshot = model_forward(model, ctx, task, want_attention=True)
-    loss = task_loss_from_logits(logits, ctx, local_labels, task.train_mask)
-    mask = task.train_mask if ctx.node_to_graph is None else None
-    t = snapshot.squared_norm(mask)
-    f = backward(loss, params, create_graph=True)
-    g = backward(t, params, create_graph=True)
-    return capacity_from_grads(model, f, g, lambda_l, lambda_t, beta)
 
 
 def save_records(records: Sequence[ImportanceRecord], path: str) -> None:

@@ -24,12 +24,13 @@ from ..engine import (
     div,
     gather_rows,
     log_softmax,
-    matmul,
     mul,
     neg,
     reshape,
+    sigmoid,
     sq_l2_norm,
     sum_,
+    take_cols,
 )
 from ..nn import (
     ForwardContext,
@@ -47,6 +48,7 @@ from .importance import (
     combine_importance,
     compute_loss_importance,
     compute_topo_importance,
+    snapshot_topo,
     task_loss_from_logits,
     twp_penalty,
 )
@@ -83,6 +85,10 @@ class StrategyConfig:
             raise ConfigError("distill_temperature must be positive")
         if self.memory_per_task < 1:
             raise ConfigError("memory_per_task must be >= 1")
+        if self.lr < 0:
+            raise ConfigError("lr must be >= 0")
+        if self.early_stop_patience < 0:
+            raise ConfigError("early_stop_patience must be >= 0")
 
 
 class TaskView:
@@ -242,7 +248,11 @@ class JointStrategy(Strategy):
 
 class _QuadraticAnchorStrategy(Strategy):
     """Shared form of EWC and MAS: per-task importance-weighted
-    quadratic pull toward each finished task's parameters."""
+    quadratic pull toward each finished task's parameters.
+
+    A task's importance is the mean of ``transform`` applied to each
+    training example's gradient of ``_example_scalar``.
+    """
 
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
@@ -283,38 +293,33 @@ class _QuadraticAnchorStrategy(Strategy):
                         logits: Tensor, i: int) -> Tensor:
         raise NotImplementedError
 
+    def after_task(self, k: int) -> None:
+        importance = self._accumulate(k, self.transform)
+        snapshot = {name: p.data.copy()
+                    for name, p in self.model.named_parameters()}
+        self.records.append(ImportanceRecord(
+            task_index=k, snapshot=snapshot, importance=importance))
+
 
 class EwcStrategy(_QuadraticAnchorStrategy):
     """Diagonal Fisher: mean squared per-example loss gradient."""
 
     kind = "EWC"
+    transform = np.square
 
     def _example_scalar(self, k, ctx, logits, i):
         return task_loss_from_logits(logits, ctx, self.view.labels(k),
                                      np.asarray([i]))
-
-    def after_task(self, k: int) -> None:
-        fisher = self._accumulate(k, np.square)
-        snapshot = {name: p.data.copy()
-                    for name, p in self.model.named_parameters()}
-        self.records.append(ImportanceRecord(
-            task_index=k, snapshot=snapshot, importance=fisher))
 
 
 class MasStrategy(_QuadraticAnchorStrategy):
     """Mean absolute gradient of each example's squared output norm."""
 
     kind = "MAS"
+    transform = np.abs
 
     def _example_scalar(self, k, ctx, logits, i):
         return sq_l2_norm(gather_rows(logits, np.asarray([i])))
-
-    def after_task(self, k: int) -> None:
-        omega = self._accumulate(k, np.abs)
-        snapshot = {name: p.data.copy()
-                    for name, p in self.model.named_parameters()}
-        self.records.append(ImportanceRecord(
-            task_index=k, snapshot=snapshot, importance=omega))
 
 
 class LwfStrategy(Strategy):
@@ -348,10 +353,7 @@ class LwfStrategy(Strategy):
                 probs = np.exp(tl)
                 probs /= probs.sum(axis=1, keepdims=True)
             else:
-                z = full[:, cols[0]] / tau
-                probs = np.where(
-                    z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+                probs = sigmoid(full[:, cols[0]] / tau).data
             self._soft_targets.append(probs)
 
     def objective(self, k: int) -> Tensor:
@@ -359,8 +361,8 @@ class LwfStrategy(Strategy):
         task_now = self.view.seq.tasks[k]
         emb, _ = self.model.forward_embeddings(ctx)
         full = head_logits(self.model, ctx, emb)
-        now_logits = matmul(full, class_columns(self.model,
-                                                task_now.classes))
+        now_logits = take_cols(full, class_columns(self.model,
+                                                   task_now.classes))
         loss = task_loss_from_logits(now_logits, ctx, self.view.labels(k),
                                      task_now.train_mask)
         if self.teacher is None:
@@ -370,7 +372,8 @@ class LwfStrategy(Strategy):
         total = loss
         for t in range(self.teacher.tasks_seen):
             old = self.view.seq.tasks[t]
-            s_logits = matmul(full, class_columns(self.model, old.classes))
+            s_logits = take_cols(full, class_columns(self.model,
+                                                     old.classes))
             probs = self._soft_targets[t]
             if self.view.node:
                 s = mul(gather_rows(s_logits, rows), Tensor(1.0 / tau))
@@ -468,13 +471,16 @@ class TwpStrategy(Strategy):
         return TapeMode.FIRST_ORDER
 
     def objective(self, k: int) -> Tensor:
-        loss, _ = self.view.train_loss(self.model, k)
+        cfg = self.cfg
+        loss, snap = self.view.train_loss(self.model, k,
+                                          want_attention=cfg.beta > 0)
         total = add(loss, twp_penalty(self.model, self.records))
-        if self.cfg.beta > 0:
+        if cfg.beta > 0:
+            topo = snapshot_topo(snap, self.view.train_ctx(k),
+                                 self.view.seq.tasks[k])
             total = add(total, capacity_regularizer(
-                self.model, self.view.train_ctx(k), self.view.seq.tasks[k],
-                self.view.labels(k), self.cfg.lambda_l, self.cfg.lambda_t,
-                self.cfg.beta))
+                self.model, loss, topo, cfg.lambda_l, cfg.lambda_t,
+                cfg.beta))
         return total
 
     def after_task(self, k: int) -> None:

@@ -19,6 +19,7 @@ from .ops import (
     mean_,
     mul,
     neg,
+    place_cols,
     relu,
     reshape,
     scatter_sum,
@@ -30,6 +31,7 @@ from .ops import (
     sum_,
     sum_axis,
     sum_to,
+    take_cols,
     tanh,
     transpose,
 )
@@ -73,8 +75,8 @@ __all__ = [
     "abs_", "active_tape", "add", "as_tensor", "backward",
     "binary_cross_entropy", "broadcast_to", "cross_entropy", "div", "elu",
     "exp", "gather_rows", "l1_norm", "leaky_relu", "log", "log_softmax",
-    "matmul", "mean_", "mul", "neg", "ones", "relu", "reshape",
-    "scatter_sum", "segment_softmax", "sigmoid", "sq_l2_norm", "square",
-    "sub", "sum_", "sum_axis", "sum_to", "tanh", "transpose", "zeros",
-    "zeros_like",
+    "matmul", "mean_", "mul", "neg", "ones", "place_cols", "relu",
+    "reshape", "scatter_sum", "segment_softmax", "sigmoid", "sq_l2_norm",
+    "square", "sub", "sum_", "sum_axis", "sum_to", "take_cols", "tanh",
+    "transpose", "zeros", "zeros_like",
 ]

@@ -260,10 +260,11 @@ def tanh(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
+    """Logistic function; ``exp(-|z|)`` never overflows on either side."""
     x = as_tensor(x)
     z = x.data
-    data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    data = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def build(out):
         def vjp(g):
@@ -452,6 +453,67 @@ def scatter_sum(x: Tensor, idx, num_segments: int) -> Tensor:
         return vjp
 
     return _apply("scatter_sum", data, (x,), build)
+
+
+def _col_plan(cols, width: int) -> SegmentPlan:
+    """``cols`` as a plan over ``width`` columns naming each column at
+    most once; a plan is only checked against the width (and, once, for
+    repeats)."""
+    if isinstance(cols, SegmentPlan):
+        if cols.bound != width:
+            raise ShapeError(
+                f"column index plan bound {cols.bound} != {width} columns")
+    else:
+        cols = SegmentPlan.rows(cols, width, "column index")
+    if not cols.distinct:
+        raise ShapeError("column index repeats a column")
+    return cols
+
+
+def take_cols(x: Tensor, cols) -> Tensor:
+    """Select columns ``x[:, cols]`` of a matrix.
+
+    ``cols`` is an integer array or a :class:`SegmentPlan` built for
+    ``x.shape[1]`` columns, with no column named twice. The VJP places
+    the gradient back with :func:`place_cols`.
+    """
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"take_cols expects a matrix, got shape {x.shape}")
+    width = x.shape[1]
+    plan = _col_plan(cols, width)
+
+    def build(out):
+        def vjp(g):
+            return (place_cols(g, plan, width),)
+        return vjp
+
+    return _apply("take_cols", np.take(x.data, plan.ids, axis=1), (x,),
+                  build)
+
+
+def place_cols(x: Tensor, cols, width: int) -> Tensor:
+    """A ``width``-column matrix holding column j of ``x`` at column
+    ``cols[j]`` and zeros elsewhere; the VJP is :func:`take_cols`.
+
+    ``cols`` is an integer array or a :class:`SegmentPlan` with bound
+    ``width``, with no column named twice.
+    """
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"place_cols expects a matrix, got shape {x.shape}")
+    plan = _col_plan(cols, width)
+    if len(plan) != x.shape[1]:
+        raise ShapeError(f"{x.shape[1]} columns but {len(plan)} places")
+    data = np.zeros((x.shape[0], width))
+    data[:, plan.ids] = x.data
+
+    def build(out):
+        def vjp(g):
+            return (take_cols(g, plan),)
+        return vjp
+
+    return _apply("place_cols", data, (x,), build)
 
 
 def segment_max(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:

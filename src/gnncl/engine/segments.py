@@ -34,9 +34,9 @@ class SegmentPlan:
 
     ``SegmentPlan(ids, num_segments)`` validates segment ids and raises
     :class:`SegmentError`; ``SegmentPlan.rows(idx, num_rows)`` validates
-    row indices and raises :class:`ShapeError`, as the ops do for raw
-    arrays. Once built, a plan serves both roles: a gather's VJP
-    scatters with the gather's own plan.
+    row (or column) indices and raises :class:`ShapeError`, as the ops
+    do for raw arrays. Once built, a plan serves both roles: a gather's
+    VJP scatters with the gather's own plan.
 
     With ``scan=True`` (the default) the ids are checked for the CSR
     layout: when they are sorted and every segment is non-empty,
@@ -44,10 +44,11 @@ class SegmentPlan:
     ``segment_softmax`` take its max with ``np.maximum.reduceat``.
     Otherwise ``starts`` is None. ``flat(width)`` caches the index that
     ``scatter_sum`` hands to ``np.bincount`` for rows of ``width``
-    values; ``counts`` caches the segment sizes.
+    values; ``counts`` caches the segment sizes and ``distinct`` whether
+    no id repeats.
     """
 
-    __slots__ = ("ids", "bound", "starts", "_flat", "_counts")
+    __slots__ = ("ids", "bound", "starts", "_flat", "_counts", "_distinct")
 
     def __init__(self, ids, num_segments: int, scan: bool = True):
         num_segments = int(num_segments)
@@ -57,12 +58,14 @@ class SegmentPlan:
                                "segment ids"), num_segments, scan)
 
     @classmethod
-    def rows(cls, idx, num_rows: int) -> "SegmentPlan":
-        """A plan over row indices of a ``num_rows``-row tensor; it is
-        never scanned for segment starts."""
+    def rows(cls, idx, num_rows: int,
+             what: str = "row index") -> "SegmentPlan":
+        """A plan over row indices of a ``num_rows``-row tensor, or over
+        columns, with ``what`` naming the index in errors; it is never
+        scanned for segment starts."""
         num_rows = int(num_rows)
         plan = cls.__new__(cls)
-        plan._init(check_index(idx, num_rows, ShapeError, "row index"),
+        plan._init(check_index(idx, num_rows, ShapeError, what),
                    num_rows, scan=False)
         return plan
 
@@ -73,6 +76,7 @@ class SegmentPlan:
         self.starts: Optional[np.ndarray] = None
         self._flat: Dict[int, np.ndarray] = {1: ids}
         self._counts: Optional[np.ndarray] = None
+        self._distinct: Optional[bool] = None
         if scan and ids.size and ids[0] == 0 and ids[-1] == bound - 1:
             steps = np.diff(ids)
             # sorted with no gap <=> every step is 0 or 1
@@ -92,6 +96,13 @@ class SegmentPlan:
             counts.flags.writeable = False
             self._counts = counts
         return self._counts
+
+    @property
+    def distinct(self) -> bool:
+        """Whether every id occurs at most once."""
+        if self._distinct is None:
+            self._distinct = bool(np.all(self.counts <= 1))
+        return self._distinct
 
     def flat(self, width: int) -> np.ndarray:
         """``ids[:, None] * width + arange(width)``, raveled and cached:

@@ -196,6 +196,9 @@ class TaskSequence:
             cs = set(t.classes)
             if not cs:
                 raise GraphError(f"task {k} has an empty class set")
+            if len(cs) != len(t.classes):
+                raise GraphError(f"task {k} classes {t.classes} repeat a "
+                                 "class")
             if cs & seen:
                 raise GraphError(
                     f"task {k} classes {sorted(cs & seen)} reused from an "

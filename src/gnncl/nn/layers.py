@@ -20,6 +20,7 @@ from ..engine import (
     leaky_relu,
     matmul,
     mul,
+    place_cols,
     relu,
     reshape,
     scatter_sum,
@@ -102,6 +103,7 @@ class GatLayer:
             d_head = d_out
         self.num_heads = num_heads
         self.d_head = d_head
+        self.d_out = d_out
         self.merge = merge
         self.slope = slope
         self.W = [glorot(rng, d_in, d_head, (d_in, d_head))
@@ -112,6 +114,13 @@ class GatLayer:
         self._a_dst = SegmentPlan.rows(np.arange(d_head), 2 * d_head)
         self._a_src = SegmentPlan.rows(np.arange(d_head, 2 * d_head),
                                        2 * d_head)
+        # columns of each head's block in a concatenated output
+        self._blocks: List[SegmentPlan] = []
+        if merge == "concat" and num_heads > 1:
+            self._blocks = [
+                SegmentPlan.rows(np.arange(i * d_head, (i + 1) * d_head),
+                                 d_out, "column index")
+                for i in range(num_heads)]
         self.act = activation_fn(activation)
 
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
@@ -141,12 +150,9 @@ class GatLayer:
             alphas.append(alpha)
             msgs = mul(reshape(alpha, (e, 1)), gather_rows(hw, src))
             out = scatter_sum(msgs, dst, n)
-            if merged is None:
-                merged = out
-            elif self.merge == "concat":
-                merged = _concat_cols(merged, out)
-            else:
-                merged = add(merged, out)
+            if self._blocks:
+                out = place_cols(out, self._blocks[i], self.d_out)
+            merged = out if merged is None else add(merged, out)
         if self.merge == "mean" and self.num_heads > 1:
             merged = mul(merged, Tensor(1.0 / self.num_heads))
         return self.act(merged), alphas
@@ -157,16 +163,6 @@ class GatLayer:
     def forward_with_attention(self, h: Tensor, ctx
                                ) -> Tuple[Tensor, List[Tensor]]:
         return self._run(h, ctx)
-
-
-def _concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Column concatenation via constant placement matrices."""
-    na, nb = a.shape[1], b.shape[1]
-    pa = np.zeros((na, na + nb))
-    pa[:, :na] = np.eye(na)
-    pb = np.zeros((nb, na + nb))
-    pb[:, na:] = np.eye(nb)
-    return add(matmul(a, Tensor(pa)), matmul(b, Tensor(pb)))
 
 
 class GinLayer:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ..engine import (
     segment_softmax,
     sq_l2_norm,
     sum_axis,
+    take_cols,
     tanh,
 )
 from ..graphs import (
@@ -189,6 +190,7 @@ class GnnModel:
             d = d_out
         self.head_W = glorot(rng, d, num_classes, (d, num_classes))
         self.head_b = Tensor(np.zeros(num_classes), requires_grad=True)
+        self._class_cols: Dict[Tuple[int, ...], SegmentPlan] = {}
 
     @property
     def middle_layer_index(self) -> int:
@@ -256,17 +258,25 @@ class GnnModel:
         return twin
 
 
-def class_columns(model: GnnModel, classes: Sequence[int]) -> Tensor:
-    """Constant selection matrix picking head columns for ``classes``."""
-    for c in classes:
-        if not 0 <= c < model.num_classes:
-            raise ModelError(
-                f"class {c} outside the model's head [0, "
-                f"{model.num_classes})")
-    sel = np.zeros((model.num_classes, len(classes)))
-    for j, c in enumerate(classes):
-        sel[c, j] = 1.0
-    return Tensor(sel)
+def class_columns(model: GnnModel, classes: Sequence[int]) -> SegmentPlan:
+    """The head columns of ``classes``, for :func:`take_cols`.
+
+    Each class set is validated once and its plan kept on the model.
+    """
+    key = tuple(classes)
+    plan = model._class_cols.get(key)
+    if plan is None:
+        for c in key:
+            if not 0 <= c < model.num_classes:
+                raise ModelError(
+                    f"class {c} outside the model's head [0, "
+                    f"{model.num_classes})")
+        if len(set(key)) != len(key):
+            raise ModelError(f"classes {key} repeat a class")
+        plan = SegmentPlan.rows(np.asarray(key, dtype=np.int64),
+                                model.num_classes, "column index")
+        model._class_cols[key] = plan
+    return plan
 
 
 def head_logits(model: GnnModel, ctx: ForwardContext,
@@ -292,5 +302,5 @@ def model_forward(model: GnnModel, ctx: ForwardContext, task: TaskSpec,
     """
     emb, snapshot = model.forward_embeddings(ctx, want_attention)
     full = head_logits(model, ctx, emb)
-    logits = matmul(full, class_columns(model, task.classes))
+    logits = take_cols(full, class_columns(model, task.classes))
     return logits, snapshot

@@ -18,6 +18,7 @@ from gnncl.continual.importance import (
     combine_importance,
     compute_loss_importance,
     compute_topo_importance,
+    snapshot_topo,
     topo_scalar,
     twp_penalty,
 )
@@ -156,10 +157,11 @@ def test_criterion_1_gradient_correctness(capsys):
         lam_l, lam_t, beta = 10.0, 5.0, 0.01
 
         def full_live():
-            loss, _ = view.train_loss(model, 0)
+            loss, snap = view.train_loss(model, 0, want_attention=True)
             total = add(loss, twp_penalty(model, [rec]))
             return add(total, capacity_regularizer(
-                model, ctx, task, labels, lam_l, lam_t, beta))
+                model, loss, snapshot_topo(snap, ctx, task), lam_l, lam_t,
+                beta))
 
         def full_value():
             with Tape(TapeMode.HIGHER_ORDER):

@@ -29,6 +29,7 @@ from gnncl.engine import (
     matmul,
     mean_,
     mul,
+    place_cols,
     relu,
     scatter_sum,
     segment_softmax,
@@ -37,6 +38,7 @@ from gnncl.engine import (
     square,
     sum_,
     sum_axis,
+    take_cols,
     tanh,
 )
 from conftest import central_diff, grad_check, max_rel_err
@@ -262,6 +264,33 @@ def test_second_derivative_through_softmax(rng):
 
         numeric = central_diff(cap_value, [scores.data], eps=1e-5)[0]
         assert max_rel_err(analytic, numeric) < 1e-5
+
+
+def test_second_derivative_through_column_primitives(rng):
+    # d/dx ||dL/dx||_1 with L = sum(tanh(place(take(x) * w)) * v): the
+    # double backward runs the VJPs of both primitives' VJPs
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3)))
+    v = Tensor(rng.normal(size=(3, 4)))
+    take, place = np.array([4, 0, 2]), np.array([3, 1, 0])
+    for take, place in ((take, place), (SegmentPlan.rows(take, 5),
+                                        SegmentPlan.rows(place, 4))):
+        def inner():
+            placed = place_cols(mul(take_cols(x, take), w), place, 4)
+            return sum_(mul(tanh(placed), v))
+
+        with Tape(TapeMode.HIGHER_ORDER):
+            g = backward(inner(), [x], create_graph=True)
+            outer = backward(l1_norm(g[x]), [x])
+        analytic = outer[x].data
+
+        def cap_value():
+            with Tape(TapeMode.HIGHER_ORDER):
+                g = backward(inner(), [x], create_graph=True)
+                return l1_norm(g[x]).item()
+
+        numeric = central_diff(cap_value, [x.data], eps=1e-5)[0]
+        assert max_rel_err(analytic, numeric) < 1e-6
 
 
 def test_nested_tapes_inner_takes_recording():

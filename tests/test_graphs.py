@@ -1,5 +1,7 @@
 """Graph structures, normalization, generators, and dataset files."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,12 @@ def test_overlapping_class_sets_rejected():
         TaskSequence(task_type=TaskType.NODE,
                      tasks=(seq.tasks[0], seq.tasks[0]),
                      graph=seq.graph, graphs=None)
+    # a class repeated within one task overlaps itself
+    repeated = dataclasses.replace(seq.tasks[0], classes=(0, 1, 1))
+    with pytest.raises(GraphError, match="repeat"):
+        TaskSequence(task_type=TaskType.NODE,
+                     tasks=(repeated, seq.tasks[1]),
+                     graph=seq.graph, graphs=None)
 
 
 # file formats ---------------------------------------------------------
@@ -248,6 +256,10 @@ def test_load_rejects_overlapping_classes(tmp_path):
     spec["tasks"][1]["classes"] = [1, 2]
     p.write_text(json.dumps(spec))
     with pytest.raises(DatasetError):
+        load_dataset(tmp_path / "ds")
+    spec["tasks"][1]["classes"] = [2, 3, 3]
+    p.write_text(json.dumps(spec))
+    with pytest.raises(DatasetError, match="repeat"):
         load_dataset(tmp_path / "ds")
 
 

@@ -15,9 +15,12 @@ from gnncl.continual import (
     compute_topo_importance,
     load_records,
     save_records,
+    snapshot_topo,
+    task_loss_from_logits,
     topo_scalar,
     twp_penalty,
 )
+from gnncl.nn import model_forward
 from conftest import central_diff, max_rel_err
 
 
@@ -41,12 +44,17 @@ def node_setup(backbone="gat", seed=0, n=8, d=3):
     return model, ctx, task, local
 
 
+def capacity(model, ctx, task, local, lambda_l, lambda_t, beta):
+    """The capacity term on one fresh forward of ``task``."""
+    logits, snap = model_forward(model, ctx, task, want_attention=True)
+    loss = task_loss_from_logits(logits, ctx, local, task.train_mask)
+    return capacity_regularizer(model, loss, snapshot_topo(snap, ctx, task),
+                                lambda_l, lambda_t, beta)
+
+
 def test_loss_importance_matches_finite_differences():
     model, ctx, task, local = node_setup("gcn")
     imp = compute_loss_importance(model, ctx, task, local)
-
-    from gnncl.continual.importance import task_loss_from_logits
-    from gnncl.nn import model_forward
 
     def loss_value():
         with Tape():
@@ -170,7 +178,7 @@ def test_mismatched_record_sets_rejected():
 def test_capacity_zero_when_beta_zero():
     model, ctx, task, local = node_setup("gcn", seed=5)
     with Tape(TapeMode.HIGHER_ORDER):
-        cap = capacity_regularizer(model, ctx, task, local, 1.0, 1.0, 0.0)
+        cap = capacity(model, ctx, task, local, 1.0, 1.0, 0.0)
         assert cap.item() == 0.0
 
 
@@ -179,13 +187,12 @@ def test_capacity_gradient_matches_finite_differences():
     from gnncl.engine import backward
     params = model.parameters()
     with Tape(TapeMode.HIGHER_ORDER):
-        cap = capacity_regularizer(model, ctx, task, local, 1.0, 0.5, 0.1)
+        cap = capacity(model, ctx, task, local, 1.0, 0.5, 0.1)
         grads = backward(cap, params)
 
     def cap_value():
         with Tape(TapeMode.HIGHER_ORDER):
-            return capacity_regularizer(model, ctx, task, local,
-                                        1.0, 0.5, 0.1).item()
+            return capacity(model, ctx, task, local, 1.0, 0.5, 0.1).item()
 
     worst = 0.0
     for name, p in model.named_parameters():
@@ -197,8 +204,8 @@ def test_capacity_gradient_matches_finite_differences():
 def test_capacity_scales_linearly_in_beta():
     model, ctx, task, local = node_setup("gat", seed=7)
     with Tape(TapeMode.HIGHER_ORDER):
-        a = capacity_regularizer(model, ctx, task, local, 2.0, 3.0, 0.1)
-        b = capacity_regularizer(model, ctx, task, local, 2.0, 3.0, 0.2)
+        a = capacity(model, ctx, task, local, 2.0, 3.0, 0.1)
+        b = capacity(model, ctx, task, local, 2.0, 3.0, 0.2)
     assert b.item() == pytest.approx(2 * a.item(), rel=1e-12)
 
 

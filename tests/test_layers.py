@@ -4,7 +4,7 @@ model plumbing (head masking, snapshots, checkpoints)."""
 import numpy as np
 import pytest
 
-from gnncl.engine import Tape, Tensor, add, backward, sum_
+from gnncl.engine import Tape, Tensor, add, backward, sum_, take_cols
 from gnncl.graphs import graph_from_edges, normalize_adjacency
 from gnncl.nn import (
     ForwardContext,
@@ -154,6 +154,8 @@ def test_class_columns_validation(rng):
                      np.random.default_rng(0))
     with pytest.raises(ModelError):
         class_columns(model, [4])
+    with pytest.raises(ModelError):
+        class_columns(model, [1, 1])
 
 
 def test_middle_layer_index():
@@ -243,8 +245,9 @@ def test_gradients_reach_all_parameters(rng):
 
 @pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
 def test_context_plans_validate_once(backbone, rng, monkeypatch):
-    # plans are built on a context's first forward pass and kept on it;
-    # later passes, backward included, validate no index
+    # plans are built on a context's first forward pass and kept on it,
+    # and a class set's head columns on the model; later passes,
+    # backward included, validate no index
     import gnncl.engine.segments as segments
 
     def pool(seed):
@@ -262,8 +265,9 @@ def test_context_plans_validate_once(backbone, rng, monkeypatch):
     def step(ctx):
         with Tape():
             emb, snap = model.forward_embeddings(ctx, want_attention=True)
-            loss = add(sum_(head_logits(model, ctx, emb)),
-                       snap.squared_norm())
+            logits = take_cols(head_logits(model, ctx, emb),
+                               class_columns(model, (1, 0)))
+            loss = add(sum_(logits), snap.squared_norm())
             backward(loss, model.parameters())
 
     for ctx in (node_ctx, pool_ctx):

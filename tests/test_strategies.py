@@ -3,21 +3,26 @@
 import numpy as np
 import pytest
 
-from gnncl.continual import capacity_regularizer
+from gnncl.continual import (
+    capacity_regularizer,
+    snapshot_topo,
+    task_loss_from_logits,
+    twp_penalty,
+)
 from gnncl.continual.strategies import (
     ConfigError,
     StrategyConfig,
     TaskView,
     make_strategy,
 )
-from gnncl.engine import Tape, TapeMode, backward
+from gnncl.engine import Tape, TapeMode, add, backward
 from gnncl.harness.runner import (
     build_dataset,
     build_model,
     run_config_from_dict,
     run_sequence,
 )
-from gnncl.nn.model import ModelConfig
+from gnncl.nn.model import GnnModel, ModelConfig, model_forward
 from conftest import central_diff, max_rel_err
 
 
@@ -251,6 +256,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="capacity_mode"):
             run_config_from_dict(raw)
 
+    def test_negative_lr_and_patience(self):
+        # a negative lr ascends the loss and a negative patience turns
+        # early stopping off; lr = 0 (frozen parameters) stays legal
+        with pytest.raises(ConfigError, match="lr"):
+            StrategyConfig(lr=-0.001)
+        with pytest.raises(ConfigError, match="early_stop_patience"):
+            StrategyConfig(early_stop_patience=-1)
+        assert StrategyConfig(lr=0.0).lr == 0.0
+
     def test_bad_epochs_temperature_memory(self):
         with pytest.raises(ConfigError):
             StrategyConfig(epochs=0)
@@ -270,15 +284,19 @@ class TestTwpCapacityModes:
             model = build_model(
                 seq, ModelConfig(backbone=backbone, hidden_dim=8), 0)
             params = model.parameters()
+
+            def cap_live():
+                loss, snap = view.train_loss(model, 0, want_attention=True)
+                return capacity_regularizer(
+                    model, loss, snapshot_topo(snap, ctx, task),
+                    1.0, 0.5, 0.1)
+
             with Tape(TapeMode.HIGHER_ORDER):
-                cap = capacity_regularizer(model, ctx, task, None,
-                                           1.0, 0.5, 0.1)
-                grads = backward(cap, params)
+                grads = backward(cap_live(), params)
 
             def cap_value():
                 with Tape(TapeMode.HIGHER_ORDER):
-                    return capacity_regularizer(model, ctx, task, None,
-                                                1.0, 0.5, 0.1).item()
+                    return cap_live().item()
 
             for name, p in model.named_parameters():
                 numeric = central_diff(cap_value, [p.data])[0]
@@ -292,6 +310,50 @@ class TestTwpCapacityModes:
             "strategy": {"kind": "TWP", "epochs": 3}}))
         assert all(np.isfinite(v) for c in result.loss_curves for v in c)
         assert result.r.complete_rows() == 2
+
+    def test_capacity_shares_the_objective_forward(self, monkeypatch):
+        seq, view, mc = _toy(backbone="gat")
+        model = build_model(seq, mc, 3)
+        strat = make_strategy(StrategyConfig(kind="TWP", beta=1e-3),
+                              model, view, 3)
+        calls = []
+        forward = GnnModel.forward_embeddings
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(GnnModel, "forward_embeddings", counted)
+        with Tape(strat.tape_mode(0)):
+            strat.objective(0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("backbone", ["gat", "gcn", "gin"])
+    def test_objective_equals_two_forward_composition(self, backbone):
+        # sharing the forward changes no bit of the objective's value
+        seq, view, mc = _toy(backbone=backbone)
+        model = build_model(seq, mc, 3)
+        cfg = StrategyConfig(kind="TWP", beta=1e-3, epochs=3)
+        strat = make_strategy(cfg, model, view, 3)
+        strat.train_task(0)
+        for p in model.parameters():  # move off the anchor
+            p.data += 0.01
+        ctx, task = view.train_ctx(1), seq.tasks[1]
+        with Tape(TapeMode.HIGHER_ORDER):
+            got = strat.objective(1).item()
+        with Tape(TapeMode.HIGHER_ORDER):
+            loss, _ = view.train_loss(model, 1)
+            pen = twp_penalty(model, strat.records)
+            logits, snap = model_forward(model, ctx, task,
+                                         want_attention=True)
+            cap = capacity_regularizer(
+                model, task_loss_from_logits(logits, ctx, view.labels(1),
+                                             task.train_mask),
+                snapshot_topo(snap, ctx, task), cfg.lambda_l, cfg.lambda_t,
+                cfg.beta)
+            want = add(add(loss, pen), cap).item()
+        assert pen.item() > 0 and cap.item() > 0
+        assert got == want
 
     def test_records_accumulate_per_task(self):
         seq, view, mc = _toy()

@@ -28,6 +28,7 @@ from gnncl.engine import (
     matmul,
     mean_,
     mul,
+    place_cols,
     relu,
     scatter_sum,
     segment_softmax,
@@ -35,6 +36,7 @@ from gnncl.engine import (
     sq_l2_norm,
     sum_,
     sum_axis,
+    take_cols,
     tanh,
 )
 from gnncl.engine.ops import segment_max
@@ -151,6 +153,31 @@ def test_gather_scatter_validation():
             scatter_sum(x, SegmentPlan(np.array([0, 0, 1]), 3), 2)
         with pytest.raises(ShapeError):
             scatter_sum(x, SegmentPlan(np.array([0, 1]), 2), 2)
+
+
+def test_column_validation():
+    x = Tensor(np.ones((2, 3)))
+    with Tape():
+        # out of range, repeated, or not integers: raw or as a plan
+        for bad in (np.array([0, 3]), np.array([1, 1]), np.array([0.0])):
+            with pytest.raises(ShapeError):
+                take_cols(x, bad)
+            with pytest.raises(ShapeError):
+                place_cols(Tensor(np.ones((2, len(bad)))), bad, 3)
+        with pytest.raises(ShapeError):
+            take_cols(x, SegmentPlan.rows(np.array([2, 2]), 3))
+        # a plan whose bound is not the width
+        with pytest.raises(ShapeError):
+            take_cols(x, SegmentPlan.rows(np.array([0, 1]), 4))
+        with pytest.raises(ShapeError):
+            place_cols(x, SegmentPlan.rows(np.array([0, 1, 2]), 3), 4)
+        # one place per column of the input; matrices only
+        with pytest.raises(ShapeError):
+            place_cols(x, np.array([0, 1]), 3)
+        with pytest.raises(ShapeError):
+            take_cols(Tensor(np.ones(3)), np.array([0]))
+        with pytest.raises(ShapeError):
+            place_cols(Tensor(np.ones(3)), np.array([0]), 3)
 
 
 def test_segment_softmax_validation():
@@ -376,6 +403,42 @@ def test_planned_gather_and_its_vjp_match_oracles(seg, k, m, data):
             assert np.array_equal(out.data, x.data[ids])
             grad = backward(sum_(mul(out, Tensor(w))), [x])[x]
         assert np.array_equal(grad.data, _add_at(w, ids, n))
+
+
+@st.composite
+def _columns(draw):
+    width = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(width)))
+    cols = np.asarray(order[:draw(st.integers(0, width))], dtype=np.int64)
+    return cols, width
+
+
+@given(_columns(), st.integers(0, 4), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_primitives_match_selection_matmuls(col, n, planned, data):
+    # with sel the 0/1 matrix picking cols, take_cols is x @ sel and
+    # place_cols is y @ sel.T; each one's VJP is the other
+    cols, width = col
+    k = len(cols)
+    sel = np.zeros((width, k))
+    sel[cols, np.arange(k)] = 1.0
+    idx = SegmentPlan.rows(cols, width) if planned else cols
+
+    def draw(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=_finite))
+
+    x = Tensor(draw((n, width)), requires_grad=True)
+    y = Tensor(draw((n, k)), requires_grad=True)
+    wx, wy = draw((n, k)), draw((n, width))
+    with Tape():
+        taken = take_cols(x, idx)
+        placed = place_cols(y, idx, width)
+        assert np.array_equal(taken.data, x.data @ sel)
+        assert np.array_equal(placed.data, y.data @ sel.T)
+        gx = backward(sum_(mul(taken, Tensor(wx))), [x])[x]
+        gy = backward(sum_(mul(placed, Tensor(wy))), [y])[y]
+    assert np.array_equal(gx.data, wx @ sel.T)
+    assert np.array_equal(gy.data, wy @ sel)
 
 
 @given(st.booleans(), st.data())

@@ -5,6 +5,7 @@ from .importance import (
     ImportanceRecord,
     capacity_regularizer,
     combine_importance,
+    compute_importance,
     compute_loss_importance,
     compute_topo_importance,
     load_records,
@@ -29,7 +30,8 @@ __all__ = [
     "ConfigError", "EpisodicMemory", "FrozenTeacher", "ImportanceRecord",
     "PGD_ITERATIONS", "STRATEGY_KINDS", "Strategy", "StrategyConfig",
     "TaskView", "capacity_regularizer", "combine_importance",
-    "compute_loss_importance", "compute_topo_importance", "gem_project",
-    "load_records", "make_strategy", "save_records", "snapshot_topo",
+    "compute_importance", "compute_loss_importance",
+    "compute_topo_importance", "gem_project", "load_records",
+    "make_strategy", "save_records", "snapshot_topo",
     "task_loss_from_logits", "topo_scalar", "twp_penalty",
 ]

@@ -19,7 +19,8 @@ def gem_project(grad_new: np.ndarray, grads_mem: np.ndarray) -> np.ndarray:
     ``grads_mem`` is [num_past_tasks x dim]. Feasible input is returned
     unchanged. The dual minimizes (1/2) v^T G G^T v + g^T G^T v over
     v >= 0 by projected gradient descent with a fixed iteration budget
-    and step 1/frobenius(G G^T); the result is g + G^T v.
+    and step 1/frobenius(G G^T), stopping early at a fixed point; the
+    result is g + G^T v.
     """
     g = np.asarray(grad_new, dtype=np.float64)
     mem = np.atleast_2d(np.asarray(grads_mem, dtype=np.float64))
@@ -40,5 +41,10 @@ def gem_project(grad_new: np.ndarray, grads_mem: np.ndarray) -> np.ndarray:
     step = 1.0 / norm
     v = np.zeros(mem.shape[0])
     for _ in range(PGD_ITERATIONS):
-        v = np.maximum(v - step * (gram @ v + b), 0.0)
+        nxt = np.maximum(v - step * (gram @ v + b), 0.0)
+        # the map is deterministic: once it returns its input bit for
+        # bit, every later iteration would too
+        if nxt.tobytes() == v.tobytes():
+            break
+        v = nxt
     return g + mem.T @ v

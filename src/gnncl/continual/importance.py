@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from ..nn import (
 from ..nn.checkpoint import read_blob, write_blob
 
 ArraySet = Dict[str, np.ndarray]
+
+# Version 2: one stacked ``W``/``a`` per GAT layer, not one per head.
+RECORDS_FORMAT = 2
 
 
 @dataclass
@@ -96,6 +99,25 @@ def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
                                      task.train_mask)
         grads = backward(loss, params)
     return _abs_grads(model, grads)
+
+
+def compute_importance(model: GnnModel, ctx: ForwardContext, task,
+                       local_labels: Optional[np.ndarray]
+                       ) -> Tuple[ArraySet, ArraySet]:
+    """Both importance maps, |dloss/dp| and |dtopo/dp|, from one forward
+    with attention: the two backward sweeps share its tape. Each equals
+    :func:`compute_loss_importance` or :func:`compute_topo_importance`
+    bit for bit."""
+    params = model.parameters()
+    with Tape():
+        logits, snapshot = model_forward(model, ctx, task,
+                                         want_attention=True)
+        loss = task_loss_from_logits(logits, ctx, local_labels,
+                                     task.train_mask)
+        topo = snapshot_topo(snapshot, ctx, task)
+        i_loss = _abs_grads(model, backward(loss, params))
+        i_ts = _abs_grads(model, backward(topo, params))
+    return i_loss, i_ts
 
 
 def snapshot_topo(snapshot: AttentionSnapshot, ctx: ForwardContext,
@@ -195,14 +217,14 @@ def save_records(records: Sequence[ImportanceRecord], path: str) -> None:
         meta.append({"task_index": rec.task_index, "params": names})
     index = write_blob(os.path.join(path, "records.bin"), arrays)
     with open(os.path.join(path, "records.json"), "w") as f:
-        json.dump({"format": 1, "records": meta, "index": index}, f,
-                  indent=1)
+        json.dump({"format": RECORDS_FORMAT, "records": meta,
+                   "index": index}, f, indent=1)
 
 
 def load_records(path: str) -> List[ImportanceRecord]:
     with open(os.path.join(path, "records.json")) as f:
         manifest = json.load(f)
-    if manifest.get("format") != 1:
+    if manifest.get("format") != RECORDS_FORMAT:
         raise ModelError(
             f"unsupported records format {manifest.get('format')!r}")
     arrays = read_blob(os.path.join(path, "records.bin"),

@@ -46,8 +46,7 @@ from .importance import (
     ImportanceRecord,
     capacity_regularizer,
     combine_importance,
-    compute_loss_importance,
-    compute_topo_importance,
+    compute_importance,
     snapshot_topo,
     task_loss_from_logits,
     twp_penalty,
@@ -486,9 +485,8 @@ class TwpStrategy(Strategy):
     def after_task(self, k: int) -> None:
         ctx = self.view.train_ctx(k)
         task = self.view.seq.tasks[k]
-        i_loss = compute_loss_importance(self.model, ctx, task,
-                                         self.view.labels(k))
-        i_ts = compute_topo_importance(self.model, ctx, task)
+        i_loss, i_ts = compute_importance(self.model, ctx, task,
+                                          self.view.labels(k))
         self.records.append(combine_importance(
             self.model, i_loss, i_ts, self.cfg.lambda_l,
             self.cfg.lambda_t, k))

@@ -76,7 +76,7 @@ def sum_to(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
     xs = x.shape
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (broadcast_to(g, xs),)
         return vjp
 
@@ -95,7 +95,7 @@ def broadcast_to(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
     xs = x.shape
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (sum_to(g, xs),)
         return vjp
 
@@ -110,24 +110,41 @@ def reshape(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
     xs = x.shape
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (reshape(g, xs),)
         return vjp
 
     return _apply("reshape", x.data.reshape(shape), (x,), build)
 
 
-def transpose(x: Tensor) -> Tensor:
+def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Permute the axes of ``x`` into the order ``axes`` names; with no
+    ``axes``, ``x`` must be a matrix and is transposed. Only the layout
+    changes."""
     x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
+    if axes is None:
+        if x.ndim != 2:
+            raise ShapeError(
+                f"transpose expects a matrix, got shape {x.shape}")
+        axes = (1, 0)
+    else:
+        axes = tuple(axes)
+        if sorted(axes) != list(range(x.ndim)):
+            raise ShapeError(f"axes {axes} do not permute shape {x.shape}")
 
     def build(out):
-        def vjp(g):
-            return (transpose(g),)
+        def vjp(g, live):
+            return (transpose(g, tuple(axes.index(i)
+                                       for i in range(len(axes)))),)
         return vjp
 
-    return _apply("transpose", x.data.T.copy(), (x,), build)
+    return _apply("transpose", x.data.transpose(axes).copy(), (x,), build)
+
+
+def _swap_last(x: Tensor) -> Tensor:
+    """``x`` with its last two axes swapped: the transpose of a matrix or
+    of each matrix in a stack."""
+    return transpose(x) if x.ndim == 2 else transpose(x, (0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +155,9 @@ def add(x, y) -> Tensor:
     xs, ys = x.shape, y.shape
 
     def build(out):
-        def vjp(g):
-            return (sum_to(g, xs), sum_to(g, ys))
+        def vjp(g, live):
+            return (sum_to(g, xs) if live[0] else None,
+                    sum_to(g, ys) if live[1] else None)
         return vjp
 
     return _apply("add", x.data + y.data, (x, y), build)
@@ -150,8 +168,9 @@ def sub(x, y) -> Tensor:
     xs, ys = x.shape, y.shape
 
     def build(out):
-        def vjp(g):
-            return (sum_to(g, xs), neg(sum_to(g, ys)))
+        def vjp(g, live):
+            return (sum_to(g, xs) if live[0] else None,
+                    neg(sum_to(g, ys)) if live[1] else None)
         return vjp
 
     return _apply("sub", x.data - y.data, (x, y), build)
@@ -162,8 +181,9 @@ def mul(x, y) -> Tensor:
     xs, ys = x.shape, y.shape
 
     def build(out):
-        def vjp(g):
-            return (sum_to(mul(g, y), xs), sum_to(mul(g, x), ys))
+        def vjp(g, live):
+            return (sum_to(mul(g, y), xs) if live[0] else None,
+                    sum_to(mul(g, x), ys) if live[1] else None)
         return vjp
 
     return _apply("mul", x.data * y.data, (x, y), build)
@@ -176,9 +196,10 @@ def div(x, y) -> Tensor:
     xs, ys = x.shape, y.shape
 
     def build(out):
-        def vjp(g):
-            gx = sum_to(div(g, y), xs)
-            gy = sum_to(neg(mul(g, div(x, mul(y, y)))), ys)
+        def vjp(g, live):
+            gx = sum_to(div(g, y), xs) if live[0] else None
+            gy = (sum_to(neg(mul(g, div(x, mul(y, y)))), ys)
+                  if live[1] else None)
             return (gx, gy)
         return vjp
 
@@ -189,7 +210,7 @@ def neg(x) -> Tensor:
     x = as_tensor(x)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (neg(g),)
         return vjp
 
@@ -200,7 +221,7 @@ def square(x) -> Tensor:
     x = as_tensor(x)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, mul(Tensor(2.0), x)),)
         return vjp
 
@@ -217,7 +238,7 @@ def abs_(x) -> Tensor:
     sgn = Tensor(np.sign(x.data))
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, sgn),)
         return vjp
 
@@ -228,7 +249,7 @@ def exp(x) -> Tensor:
     x = as_tensor(x)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, out),)
         return vjp
 
@@ -241,7 +262,7 @@ def log(x) -> Tensor:
         raise DomainError("log requires strictly positive inputs")
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (div(g, x),)
         return vjp
 
@@ -252,7 +273,7 @@ def tanh(x) -> Tensor:
     x = as_tensor(x)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, sub(Tensor(1.0), mul(out, out))),)
         return vjp
 
@@ -267,7 +288,7 @@ def sigmoid(x) -> Tensor:
     data = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, mul(out, sub(Tensor(1.0), out))),)
         return vjp
 
@@ -279,7 +300,7 @@ def relu(x) -> Tensor:
     mask = Tensor((x.data > 0).astype(np.float64))
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, mask),)
         return vjp
 
@@ -291,7 +312,7 @@ def leaky_relu(x, alpha: float = 0.2) -> Tensor:
     slope = Tensor(np.where(x.data > 0, 1.0, alpha))
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (mul(g, slope),)
         return vjp
 
@@ -308,7 +329,7 @@ def elu(x, alpha: float = 1.0) -> Tensor:
     a = Tensor(float(alpha))
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             # derivative is 1 on the positive side, alpha*e^x = out+alpha
             # on the other
             d = add(pos, mul(rest, add(out, a)))
@@ -319,13 +340,22 @@ def elu(x, alpha: float = 1.0) -> Tensor:
 
 
 def matmul(x: Tensor, y: Tensor) -> Tensor:
+    """Matrix product. Either operand may be a stack of H matrices along
+    a leading axis; a 2-D operand is then shared by every product. numpy
+    runs each stacked product as its own BLAS call with the 2-D shapes,
+    so every slice matches the 2-D product bit for bit."""
     x, y = as_tensor(x), as_tensor(y)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+    if (x.ndim not in (2, 3) or y.ndim not in (2, 3)
+            or x.shape[-1] != y.shape[-2]
+            or (x.ndim == y.ndim == 3 and x.shape[0] != y.shape[0])):
         raise ShapeError(f"matmul shapes {x.shape} and {y.shape} do not align")
+    xs, ys = x.shape, y.shape
 
     def build(out):
-        def vjp(g):
-            return (matmul(g, transpose(y)), matmul(transpose(x), g))
+        def vjp(g, live):
+            gx = sum_to(matmul(g, _swap_last(y)), xs) if live[0] else None
+            gy = sum_to(matmul(_swap_last(x), g), ys) if live[1] else None
+            return (gx, gy)
         return vjp
 
     return _apply("matmul", x.data @ y.data, (x, y), build)
@@ -339,7 +369,7 @@ def sum_(x) -> Tensor:
     xs = x.shape
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (broadcast_to(g, xs),)
         return vjp
 
@@ -356,7 +386,7 @@ def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
     xs = x.shape
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (broadcast_to(reshape(g, tuple(kept)), xs),)
         return vjp
 
@@ -423,7 +453,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     plan = _row_plan(idx, n)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (scatter_sum(g, plan, n),)
         return vjp
 
@@ -448,7 +478,7 @@ def scatter_sum(x: Tensor, idx, num_segments: int) -> Tensor:
     data = data.reshape((num_segments,) + tail)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (gather_rows(g, plan),)
         return vjp
 
@@ -484,7 +514,7 @@ def take_cols(x: Tensor, cols) -> Tensor:
     plan = _col_plan(cols, width)
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (place_cols(g, plan, width),)
         return vjp
 
@@ -509,7 +539,7 @@ def place_cols(x: Tensor, cols, width: int) -> Tensor:
     data[:, plan.ids] = x.data
 
     def build(out):
-        def vjp(g):
+        def vjp(g, live):
             return (take_cols(g, plan),)
         return vjp
 
@@ -630,11 +660,11 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
     z = logits.data
     val = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = float(z.size)
+    targets_t, count = Tensor(t), Tensor(n)
 
     def build(out):
-        def vjp(g):
-            return (div(mul(g, sub(sigmoid(logits), Tensor(t))),
-                        Tensor(n)),)
+        def vjp(g, live):
+            return (div(mul(g, sub(sigmoid(logits), targets_t)), count),)
         return vjp
 
     return _apply("binary_cross_entropy", np.asarray(val.sum() / n),
@@ -690,7 +720,8 @@ def backward(loss: Tensor, params: Sequence[Tensor],
             node = tape.nodes[nid]
             if node.vjp is None:
                 continue
-            grads = node.vjp(g)
+            live = tuple(slot is not None for slot in node.inputs)
+            grads = node.vjp(g, live)
             for slot, gin in zip(node.inputs, grads):
                 if slot is None or gin is None:
                     continue

@@ -45,10 +45,12 @@ class SegmentPlan:
     Otherwise ``starts`` is None. ``flat(width)`` caches the index that
     ``scatter_sum`` hands to ``np.bincount`` for rows of ``width``
     values; ``counts`` caches the segment sizes and ``distinct`` whether
-    no id repeats.
+    no id repeats; ``copies(count)`` caches the plan over ``count``
+    disjoint copies of the range.
     """
 
-    __slots__ = ("ids", "bound", "starts", "_flat", "_counts", "_distinct")
+    __slots__ = ("ids", "bound", "starts", "_flat", "_counts", "_distinct",
+                 "_copies")
 
     def __init__(self, ids, num_segments: int, scan: bool = True):
         num_segments = int(num_segments)
@@ -69,6 +71,28 @@ class SegmentPlan:
                    num_rows, scan=False)
         return plan
 
+    def copies(self, count: int) -> "SegmentPlan":
+        """This plan over ``count`` disjoint copies of its range, one
+        after another: copy c's ids are shifted by ``c * bound``. The
+        ids are already valid, so nothing is checked or scanned again;
+        segment starts carry over, shifted the same way. Built once per
+        count and cached; one copy is the plan itself."""
+        count = int(count)
+        if count == 1:
+            return self
+        plan = self._copies.get(count)
+        if plan is None:
+            plan = SegmentPlan.__new__(SegmentPlan)
+            shift = np.arange(count, dtype=np.int64)[:, None]
+            plan._init((shift * self.bound + self.ids).ravel(),
+                       count * self.bound, scan=False)
+            if self.starts is not None:
+                starts = (shift * len(self) + self.starts).ravel()
+                starts.flags.writeable = False
+                plan.starts = starts
+            self._copies[count] = plan
+        return plan
+
     def _init(self, ids: np.ndarray, bound: int, scan: bool) -> None:
         ids.flags.writeable = False
         self.ids = ids
@@ -77,6 +101,7 @@ class SegmentPlan:
         self._flat: Dict[int, np.ndarray] = {1: ids}
         self._counts: Optional[np.ndarray] = None
         self._distinct: Optional[bool] = None
+        self._copies: Dict[int, "SegmentPlan"] = {}
         if scan and ids.size and ids[0] == 0 and ids[-1] == bound - 1:
             steps = np.diff(ids)
             # sorted with no gap <=> every step is 0 or 1

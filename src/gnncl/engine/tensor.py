@@ -49,9 +49,11 @@ class TapeMode(Enum):
 class Node:
     """One recorded operation: kind, input node ids, and a VJP closure.
 
-    ``vjp`` maps the output cotangent to a tuple of input cotangents
-    (aligned with ``inputs``; entries may be None for non-differentiable
-    slots). Leaf nodes have ``vjp is None``.
+    ``vjp(g, live)`` maps the output cotangent ``g`` to a tuple of input
+    cotangents aligned with ``inputs``. ``live[i]`` says whether input i
+    is on the tape (its slot is not None); an entry may be None for a
+    slot that is not live or not differentiable, and is then never
+    built. Leaf nodes have ``vjp is None``.
     """
 
     __slots__ = ("op", "inputs", "vjp")

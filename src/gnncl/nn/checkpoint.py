@@ -17,7 +17,7 @@ import numpy as np
 from .layers import ModelError
 from .model import GnnModel, ModelConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def write_blob(path: str, arrays: Sequence[Tuple[str, np.ndarray]]

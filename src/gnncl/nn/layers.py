@@ -7,7 +7,7 @@ name through ``named_parameters``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from ..engine import (
     leaky_relu,
     matmul,
     mul,
-    place_cols,
     relu,
     reshape,
     scatter_sum,
@@ -28,6 +27,7 @@ from ..engine import (
     sigmoid,
     sum_axis,
     tanh,
+    transpose,
 )
 
 
@@ -82,9 +82,14 @@ class GcnLayer:
 class GatLayer:
     """Multi-head attention aggregation over self-looped neighborhoods.
 
-    Each head holds a projection W and an attention vector a of length
-    2*d_head (destination half first). Heads merge by concatenation or
-    by mean; the final layer of a network must use mean.
+    ``W`` stacks the heads' projections, shape (H, d_in, d_head), and
+    ``a`` their attention vectors, shape (H, 2*d_head, 1), destination
+    half first. All heads run as one chain of ops: the edge-wise work
+    treats them as H disjoint copies of the graph, node v of head h
+    being node h*n + v (see :meth:`SegmentPlan.copies`); the sorted
+    destination plan keeps its segment starts. Heads merge by
+    concatenation or by mean; the final layer of a network must use
+    mean.
     """
 
     def __init__(self, d_in: int, d_out: int, num_heads: int,
@@ -106,62 +111,54 @@ class GatLayer:
         self.d_out = d_out
         self.merge = merge
         self.slope = slope
-        self.W = [glorot(rng, d_in, d_head, (d_in, d_head))
-                  for _ in range(num_heads)]
-        self.a = [glorot(rng, 2 * d_head, 1, (2 * d_head, 1))
-                  for _ in range(num_heads)]
-        # rows of a scoring the destination and the source node
-        self._a_dst = SegmentPlan.rows(np.arange(d_head), 2 * d_head)
-        self._a_src = SegmentPlan.rows(np.arange(d_head, 2 * d_head),
-                                       2 * d_head)
-        # columns of each head's block in a concatenated output
-        self._blocks: List[SegmentPlan] = []
-        if merge == "concat" and num_heads > 1:
-            self._blocks = [
-                SegmentPlan.rows(np.arange(i * d_head, (i + 1) * d_head),
-                                 d_out, "column index")
-                for i in range(num_heads)]
+        self.W = glorot(rng, d_in, d_head, (num_heads, d_in, d_head))
+        self.a = glorot(rng, 2 * d_head, 1, (num_heads, 2 * d_head, 1))
+        # rows of ``a`` viewed as (2H, d_head, 1) that score each head's
+        # destination and source node
+        halves = 2 * np.arange(num_heads)
+        self._a_dst = SegmentPlan.rows(halves, 2 * num_heads)
+        self._a_src = SegmentPlan.rows(halves + 1, 2 * num_heads)
         self.act = activation_fn(activation)
 
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
-        out = []
-        for i in range(self.num_heads):
-            out.append((f"h{i}.W", self.W[i]))
-            out.append((f"h{i}.a", self.a[i]))
-        return out
+        return [("W", self.W), ("a", self.a)]
 
-    def _run(self, h: Tensor, ctx) -> Tuple[Tensor, List[Tensor]]:
+    def _run(self, h: Tensor, ctx) -> Tuple[Tensor, Tensor]:
+        heads, d = self.num_heads, self.d_head
         n = ctx.adj.num_nodes
-        src, dst = ctx.adj_src_plan, ctx.adj_dst_plan
+        rows = heads * n
+        src = ctx.adj_src_plan.copies(heads)
+        dst = ctx.adj_dst_plan.copies(heads)
         e = len(src)
-        merged: Optional[Tensor] = None
-        alphas: List[Tensor] = []
-        for i in range(self.num_heads):
-            hw = matmul(h, self.W[i])
-            a_dst = gather_rows(self.a[i], self._a_dst)
-            a_src = gather_rows(self.a[i], self._a_src)
-            s_dst = matmul(hw, a_dst)
-            s_src = matmul(hw, a_src)
-            logits = leaky_relu(
-                reshape(add(gather_rows(s_dst, dst),
-                            gather_rows(s_src, src)), (e,)),
-                alpha=self.slope)
-            alpha = segment_softmax(logits, dst, n)
-            alphas.append(alpha)
-            msgs = mul(reshape(alpha, (e, 1)), gather_rows(hw, src))
-            out = scatter_sum(msgs, dst, n)
-            if self._blocks:
-                out = place_cols(out, self._blocks[i], self.d_out)
-            merged = out if merged is None else add(merged, out)
-        if self.merge == "mean" and self.num_heads > 1:
-            merged = mul(merged, Tensor(1.0 / self.num_heads))
-        return self.act(merged), alphas
+        hw = matmul(h, self.W)
+        a = reshape(self.a, (2 * heads, d, 1))
+        a_dst = gather_rows(a, self._a_dst)
+        a_src = gather_rows(a, self._a_src)
+        s_dst = reshape(matmul(hw, a_dst), (rows, 1))
+        s_src = reshape(matmul(hw, a_src), (rows, 1))
+        logits = leaky_relu(
+            reshape(add(gather_rows(s_dst, dst), gather_rows(s_src, src)),
+                    (e,)),
+            alpha=self.slope)
+        alpha = segment_softmax(logits, dst, rows)
+        msgs = mul(reshape(alpha, (e, 1)),
+                   gather_rows(reshape(hw, (rows, d)), src))
+        out = scatter_sum(msgs, dst, rows)
+        if self.merge == "concat":
+            out = reshape(transpose(reshape(out, (heads, n, d)), (1, 0, 2)),
+                          (n, heads * d))
+        elif heads > 1:
+            out = mul(sum_axis(reshape(out, (heads, n, d)), axis=0),
+                      Tensor(1.0 / heads))
+        return self.act(out), alpha
 
     def forward(self, h: Tensor, ctx) -> Tensor:
         return self._run(h, ctx)[0]
 
     def forward_with_attention(self, h: Tensor, ctx
-                               ) -> Tuple[Tensor, List[Tensor]]:
+                               ) -> Tuple[Tensor, Tensor]:
+        """The output and the coefficients of every head, head h's
+        edges at positions h*E to (h+1)*E."""
         return self._run(h, ctx)
 
 

@@ -120,28 +120,26 @@ class ForwardContext:
 
 @dataclass
 class AttentionSnapshot:
-    """Normalized middle-layer coefficients, one 1-D Tensor per head.
+    """Normalized middle-layer coefficients as one 1-D Tensor.
 
-    ``edge_dst[e]`` is the aggregating node of coefficient e; each
-    (head, node) group sums to 1.
+    ``edge_dst[e]`` is the aggregating node of coefficient e. A layer
+    with several heads lays them end to end, one copy of the edge list
+    each, so ``edge_dst`` repeats once per head; each (head, node) group
+    sums to 1.
     """
 
-    heads: List[Tensor]
+    coeffs: Tensor
     edge_dst: np.ndarray
     num_nodes: int
 
     def squared_norm(self, node_mask: Optional[np.ndarray] = None) -> Tensor:
         """Sum of squared coefficients, optionally restricted to edges
         whose aggregating node is selected by ``node_mask``."""
-        total: Optional[Tensor] = None
-        sel = None
+        coeffs = self.coeffs
         if node_mask is not None:
-            sel = Tensor(node_mask[self.edge_dst].astype(np.float64))
-        for coeffs in self.heads:
-            term = coeffs if sel is None else mul(coeffs, sel)
-            part = sq_l2_norm(term)
-            total = part if total is None else add(total, part)
-        return total
+            coeffs = mul(coeffs,
+                         Tensor(node_mask[self.edge_dst].astype(np.float64)))
+        return sq_l2_norm(coeffs)
 
 
 def nonparam_attention(weight: Tensor, h: Tensor,
@@ -158,7 +156,7 @@ def nonparam_attention(weight: Tensor, h: Tensor,
     scores = sum_axis(mul(gather_rows(hw, dst),
                           gather_rows(th, ctx.adj_src_plan)), axis=1)
     coeffs = segment_softmax(scores, dst, adj.num_nodes)
-    return AttentionSnapshot(heads=[coeffs], edge_dst=adj.edge_dst,
+    return AttentionSnapshot(coeffs=coeffs, edge_dst=adj.edge_dst,
                              num_nodes=adj.num_nodes)
 
 
@@ -226,9 +224,10 @@ class GnnModel:
         for l, layer in enumerate(self.layers):
             if want_attention and l == self.middle_layer_index:
                 if isinstance(layer, GatLayer):
-                    h, alphas = layer.forward_with_attention(h, ctx)
+                    h, coeffs = layer.forward_with_attention(h, ctx)
                     snapshot = AttentionSnapshot(
-                        heads=alphas, edge_dst=ctx.adj.edge_dst,
+                        coeffs=coeffs,
+                        edge_dst=np.tile(ctx.adj.edge_dst, layer.num_heads),
                         num_nodes=ctx.adj.num_nodes)
                 else:
                     snapshot = nonparam_attention(self.middle_weight(), h,

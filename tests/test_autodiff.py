@@ -40,6 +40,7 @@ from gnncl.engine import (
     sum_axis,
     take_cols,
     tanh,
+    transpose,
 )
 from conftest import central_diff, grad_check, max_rel_err
 
@@ -291,6 +292,74 @@ def test_second_derivative_through_column_primitives(rng):
 
         numeric = central_diff(cap_value, [x.data], eps=1e-5)[0]
         assert max_rel_err(analytic, numeric) < 1e-6
+
+
+def stacked_products(x, w, v, u):
+    """A scalar through every stacked matmul form and an axes transpose:
+    2-D times a stack, stack times stack, stack times 2-D."""
+    hw = matmul(x, w)
+    scores = matmul(hw, v)
+    back = transpose(matmul(tanh(hw), u), (1, 0, 2))
+    return add(sq_l2_norm(tanh(scores)), sum_(mul(tanh(back), back)))
+
+
+def stacked_operands(rng):
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((5, 3), (2, 3, 4), (2, 4, 1), (4, 3))]
+
+
+def test_stacked_matmul_and_axes_transpose_gradients(rng):
+    operands = stacked_operands(rng)
+    assert grad_check(lambda: stacked_products(*operands), operands) < TOL
+
+
+def test_second_derivative_through_stacked_matmul(rng):
+    # d/dp sum over operands of ||dL/dp||_1 through stacked products
+    operands = stacked_operands(rng)
+
+    def capacity():
+        g = backward(stacked_products(*operands), operands,
+                     create_graph=True)
+        total = l1_norm(g[operands[0]])
+        for p in operands[1:]:
+            total = add(total, l1_norm(g[p]))
+        return total
+
+    with Tape(TapeMode.HIGHER_ORDER):
+        outer = backward(capacity(), operands)
+
+    def cap_value():
+        with Tape(TapeMode.HIGHER_ORDER):
+            return capacity().item()
+
+    numeric = central_diff(cap_value, [p.data for p in operands], eps=1e-5)
+    for p, num in zip(operands, numeric):
+        assert max_rel_err(outer[p].data, num) < 1e-6
+
+
+def test_create_graph_builds_no_gradient_for_a_constant(rng):
+    # the VJP of matmul(x, w) skips x's gradient when x is on no tape;
+    # w's gradient is the one built when x is live
+    x_data = rng.normal(size=(5, 3))
+    w_data = rng.normal(size=(2, 3, 4))
+    swept = {}
+    for live in (False, True):
+        x = Tensor(x_data, requires_grad=live)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        with Tape(TapeMode.HIGHER_ORDER) as tape:
+            loss = sq_l2_norm(tanh(matmul(x, w)))
+            start = len(tape)
+            g = backward(loss, [w], create_graph=True)
+            ops = [node.op for node in tape.nodes[start:]]
+        swept[live] = (g[w].data, ops)
+    (g_const, ops_const), (g_live, ops_live) = swept[False], swept[True]
+    assert np.array_equal(g_const, g_live)
+    # live x: matmul(g, transpose(w)) summed over heads, then w's matmul
+    assert ops_live.count("matmul") == 2
+    assert "transpose" in ops_live and "sum_to" in ops_live
+    # constant x: w's matmul alone; transpose(x) is a constant
+    assert ops_const.count("matmul") == 1
+    assert "transpose" not in ops_const and "sum_to" not in ops_const
 
 
 def test_nested_tapes_inner_takes_recording():

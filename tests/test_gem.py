@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnncl.continual.gem import gem_project
+from gnncl.continual.gem import PGD_ITERATIONS, gem_project
 
 
 def active_set_solution(g, mem):
@@ -137,3 +137,33 @@ def test_projection_never_farther_than_violation(seed):
     out = gem_project(g, mem)
     exact = active_set_solution(g, mem)
     assert np.linalg.norm(out - g) <= np.linalg.norm(exact - g) + 1e-5
+
+
+def full_budget_projection(g, mem):
+    """gem_project's dual descent run for every one of its iterations."""
+    dots = mem @ g
+    if np.all(dots >= 0.0):
+        return g.copy()
+    gram = mem @ mem.T
+    norm = np.linalg.norm(gram)
+    if norm == 0.0:
+        return g.copy()
+    step = 1.0 / norm
+    v = np.zeros(mem.shape[0])
+    for _ in range(PGD_ITERATIONS):
+        v = np.maximum(v - step * (gram @ v + dots), 0.0)
+    return g + mem.T @ v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 12),
+       st.booleans())
+def test_fixed_point_stop_matches_full_budget(seed, k, dim, violated):
+    # stopping once an iteration returns its input changes no bit
+    rng = np.random.default_rng(seed)
+    mem = rng.normal(size=(k, dim))
+    g = rng.normal(size=dim)
+    if violated:
+        g -= 2.0 * mem[0] * abs(mem[0] @ g) / max(mem[0] @ mem[0], 1e-12)
+    assert gem_project(g, mem).tobytes() == \
+        full_budget_projection(g, mem).tobytes()

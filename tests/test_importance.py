@@ -11,6 +11,7 @@ from gnncl.continual import (
     ImportanceRecord,
     capacity_regularizer,
     combine_importance,
+    compute_importance,
     compute_loss_importance,
     compute_topo_importance,
     load_records,
@@ -75,10 +76,10 @@ def test_topo_importance_matches_finite_differences():
         with Tape():
             return topo_scalar(model, ctx, task).item()
 
-    name0 = "layers.0.h0.W"
+    name0 = "layers.0.W"
     p0 = dict(model.named_parameters())[name0]
-    numeric = np.abs(central_diff(t_value, [p0.data])[0])
-    assert max_rel_err(imp[name0], numeric) < 1e-5
+    numeric = np.abs(central_diff(t_value, [p0.data[0]])[0])
+    assert max_rel_err(imp[name0][0], numeric) < 1e-5
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
@@ -95,6 +96,18 @@ def test_topo_importance_zero_downstream(backbone):
         else:
             upstream_total += float(np.abs(arr).sum())
     assert upstream_total > 0
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
+def test_shared_forward_importance_matches_separate_passes(backbone):
+    # one forward with attention, two sweeps over its tape
+    model, ctx, task, local = node_setup(backbone, seed=6)
+    i_loss, i_ts = compute_importance(model, ctx, task, local)
+    want_loss = compute_loss_importance(model, ctx, task, local)
+    want_ts = compute_topo_importance(model, ctx, task)
+    for name, _ in model.named_parameters():
+        assert np.array_equal(i_loss[name], want_loss[name]), name
+        assert np.array_equal(i_ts[name], want_ts[name]), name
 
 
 def test_importance_non_negative():
@@ -227,3 +240,21 @@ def test_records_file_roundtrip(tmp_path):
         for name in a.snapshot:
             assert np.array_equal(a.snapshot[name], b.snapshot[name])
             assert np.array_equal(a.importance[name], b.importance[name])
+
+
+def test_old_records_format_rejected(tmp_path):
+    import json
+
+    model, ctx, task, local = node_setup("gat", seed=9)
+    i_loss, i_ts = compute_importance(model, ctx, task, local)
+    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+                 tmp_path / "recs")
+    path = tmp_path / "recs" / "records.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["format"] == 2
+    assert manifest["records"][0]["params"][:2] == ["layers.0.W",
+                                                    "layers.0.a"]
+    manifest["format"] = 1
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError):
+        load_records(tmp_path / "recs")

@@ -1,10 +1,33 @@
 """Backbone layers against dense-matrix oracles, equivariance, and
 model plumbing (head masking, snapshots, checkpoints)."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from gnncl.engine import Tape, Tensor, add, backward, sum_, take_cols
+from gnncl.engine import (
+    Tape,
+    TapeMode,
+    Tensor,
+    abs_,
+    add,
+    backward,
+    gather_rows,
+    leaky_relu,
+    matmul,
+    mul,
+    place_cols,
+    reshape,
+    scatter_sum,
+    segment_softmax,
+    sq_l2_norm,
+    sum_,
+    take_cols,
+    tanh,
+)
 from gnncl.graphs import graph_from_edges, normalize_adjacency
 from gnncl.nn import (
     ForwardContext,
@@ -71,11 +94,11 @@ def test_gat_hand_oracle():
     ctx = ForwardContext.for_graph(g)
     layer = GatLayer(1, 1, 1, "identity", np.random.default_rng(0),
                      merge="mean")
-    layer.W[0].data = np.array([[1.0]])
-    layer.a[0].data = np.array([[1.0], [0.0]])
+    layer.W.data[0] = np.array([[1.0]])
+    layer.a.data[0] = np.array([[1.0], [0.0]])
     with Tape():
         out, alphas = layer.forward_with_attention(Tensor(g.features), ctx)
-    assert np.allclose(alphas[0].data, 0.5)
+    assert np.allclose(alphas.data, 0.5)
     assert np.allclose(out.data, [[3.0], [3.0]])
 
 
@@ -86,10 +109,10 @@ def test_gat_zero_attention_equals_mean(rng):
     ctx = ForwardContext.for_graph(g)
     layer = GatLayer(3, 5, 1, "identity", np.random.default_rng(2),
                      merge="mean")
-    layer.a[0].data = np.zeros_like(layer.a[0].data)
+    layer.a.data[0] = np.zeros_like(layer.a.data[0])
     with Tape():
         out = layer.forward(Tensor(g.features), ctx).data
-    hw = g.features @ layer.W[0].data
+    hw = g.features @ layer.W.data[0]
     n = g.num_nodes
     a = np.zeros((n, n))
     a[g.edge_dst, g.edge_src] = 1.0
@@ -104,7 +127,7 @@ def test_gat_alphas_normalized_per_node(rng):
     layer = GatLayer(3, 6, 2, "elu", np.random.default_rng(3))
     with Tape():
         _, alphas = layer.forward_with_attention(Tensor(g.features), ctx)
-    for coeffs in alphas:
+    for coeffs in alphas.data.reshape(2, -1):
         sums = np.bincount(ctx.adj.edge_dst, weights=coeffs.data,
                            minlength=g.num_nodes)
         assert np.allclose(sums, 1.0)
@@ -175,9 +198,11 @@ def test_snapshot_from_every_backbone(rng):
         with Tape():
             _, snap = model.forward_embeddings(ctx, want_attention=True)
             norm = snap.squared_norm()
-        for coeffs in snap.heads:
-            sums = np.bincount(snap.edge_dst, weights=coeffs.data,
-                               minlength=g.num_nodes)
+        heads = len(snap.edge_dst) // len(ctx.adj.edge_dst)
+        for coeffs, dst in zip(snap.coeffs.data.reshape(heads, -1),
+                               snap.edge_dst.reshape(heads, -1)):
+            assert np.array_equal(dst, ctx.adj.edge_dst)
+            sums = np.bincount(dst, weights=coeffs, minlength=g.num_nodes)
             assert np.allclose(sums, 1.0)
         assert norm.item() > 0
 
@@ -204,9 +229,9 @@ def test_model_clone_and_state_roundtrip(rng):
     for (na, a), (nb, b) in zip(model.state_arrays(), twin.state_arrays()):
         assert na == nb
         assert np.array_equal(a, b)
-    twin.layers[0].W[0].data += 1.0
-    assert not np.array_equal(model.layers[0].W[0].data,
-                              twin.layers[0].W[0].data)
+    twin.layers[0].W.data[0] += 1.0
+    assert not np.array_equal(model.layers[0].W.data[0],
+                              twin.layers[0].W.data[0])
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -281,3 +306,152 @@ def test_context_plans_validate_once(backbone, rng, monkeypatch):
     for ctx in (node_ctx, pool_ctx):
         step(ctx)
     assert checked == []
+
+
+# stacked GAT heads against a per-head reference ------------------------
+
+def per_head_gat(layer, h, ctx):
+    """``layer``'s forward run one head at a time, as separate chains of
+    ops over the plain edge lists: head i has leaves holding copies of
+    ``W[i]`` and ``a[i]``, a concatenated output places each head's block
+    with ``place_cols`` and adds the blocks, and a mean adds the heads
+    in order and scales. Returns (out, alphas, Ws, As)."""
+    n = ctx.adj.num_nodes
+    src, dst = ctx.adj_src_plan, ctx.adj_dst_plan
+    e = len(src)
+    heads, d = layer.num_heads, layer.d_head
+    Ws = [Tensor(layer.W.data[i].copy(), requires_grad=True)
+          for i in range(heads)]
+    As = [Tensor(layer.a.data[i].copy(), requires_grad=True)
+          for i in range(heads)]
+    merged = None
+    alphas = []
+    for i in range(heads):
+        hw = matmul(h, Ws[i])
+        a_dst = gather_rows(As[i], np.arange(d))
+        a_src = gather_rows(As[i], np.arange(d, 2 * d))
+        s_dst = matmul(hw, a_dst)
+        s_src = matmul(hw, a_src)
+        logits = leaky_relu(
+            reshape(add(gather_rows(s_dst, dst), gather_rows(s_src, src)),
+                    (e,)),
+            alpha=layer.slope)
+        alpha = segment_softmax(logits, dst, n)
+        alphas.append(alpha)
+        out = scatter_sum(mul(reshape(alpha, (e, 1)), gather_rows(hw, src)),
+                          dst, n)
+        if layer.merge == "concat" and heads > 1:
+            out = place_cols(out, np.arange(i * d, (i + 1) * d),
+                             layer.d_out)
+        merged = out if merged is None else add(merged, out)
+    if layer.merge == "mean" and heads > 1:
+        merged = mul(merged, Tensor(1.0 / heads))
+    return layer.act(merged), alphas, Ws, As
+
+
+def gat_objectives(out, coeffs, weights):
+    """A task-like scalar of the output, and a topology-like scalar: the
+    squared norms of the coefficient vectors in ``coeffs``, summed."""
+    topo = None
+    for c in coeffs:
+        part = sq_l2_norm(c)
+        topo = part if topo is None else add(topo, part)
+    return sum_(mul(tanh(out), Tensor(weights))), topo
+
+
+def capacity_of(loss, topo, params):
+    """l1 mass of both gradient maps, recorded for a further backward."""
+    f = backward(loss, params, create_graph=True)
+    g = backward(topo, params, create_graph=True)
+    total = None
+    for p in params:
+        term = add(sum_(abs_(f[p])), sum_(abs_(g[p])))
+        total = term if total is None else add(total, term)
+    return total
+
+
+@given(n=st.integers(2, 8), heads=st.integers(1, 4), d_in=st.integers(1, 4),
+       d_head=st.integers(1, 3), merge=st.sampled_from(["concat", "mean"]),
+       act=st.sampled_from(["elu", "identity", "tanh"]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_stacked_gat_matches_per_head_reference(n, heads, d_in, d_head,
+                                                merge, act, seed):
+    # outputs, coefficients, first-order gradients and the capacity
+    # term's gradient all agree bit for bit with one chain per head
+    rng = np.random.default_rng(seed)
+    g = small_graph(rng, n=n, d=d_in)
+    ctx = ForwardContext.for_graph(g)
+    d_out = heads * d_head if merge == "concat" else d_head
+    layer = GatLayer(d_in, d_out, heads, act, rng, merge=merge)
+    weights = rng.normal(size=(n, d_out))
+    h = Tensor(g.features)
+    stacked = [layer.W, layer.a]
+
+    with Tape():
+        out, coeffs = layer.forward_with_attention(h, ctx)
+        loss, _ = gat_objectives(out, [coeffs], weights)
+        grads = backward(loss, stacked)
+    with Tape():
+        ref_out, alphas, Ws, As = per_head_gat(layer, h, ctx)
+        ref_loss, _ = gat_objectives(ref_out, alphas, weights)
+        ref_grads = backward(ref_loss, Ws + As)
+    assert np.array_equal(out.data, ref_out.data)
+    assert np.array_equal(coeffs.data,
+                          np.concatenate([a.data for a in alphas]))
+    assert np.array_equal(grads[layer.W].data,
+                          np.stack([ref_grads[w].data for w in Ws]))
+    assert np.array_equal(grads[layer.a].data,
+                          np.stack([ref_grads[a].data for a in As]))
+
+    with Tape(TapeMode.HIGHER_ORDER):
+        out, coeffs = layer.forward_with_attention(h, ctx)
+        cap = capacity_of(*gat_objectives(out, [coeffs], weights), stacked)
+        cap_grads = backward(cap, stacked)
+    with Tape(TapeMode.HIGHER_ORDER):
+        ref_out, alphas, Ws, As = per_head_gat(layer, h, ctx)
+        ref_cap = capacity_of(*gat_objectives(ref_out, alphas, weights),
+                              Ws + As)
+        ref_cap_grads = backward(ref_cap, Ws + As)
+    assert np.array_equal(cap_grads[layer.W].data,
+                          np.stack([ref_cap_grads[w].data for w in Ws]))
+    assert np.array_equal(cap_grads[layer.a].data,
+                          np.stack([ref_cap_grads[a].data for a in As]))
+
+
+def test_gat_tape_size_does_not_grow_with_heads(rng):
+    g = small_graph(rng)
+    ctx = ForwardContext.for_graph(g)
+    sizes = []
+    for heads in (1, 4):
+        layer = GatLayer(3, 8, heads, "elu", np.random.default_rng(0))
+        with Tape() as tape:
+            layer.forward(Tensor(g.features), ctx)
+        sizes.append(len(tape))
+    assert sizes[0] == sizes[1]
+
+
+def test_stacked_heads_draw_the_per_head_values():
+    # one draw per parameter over the same stream as one draw per head
+    layer = GatLayer(3, 8, 4, "elu", np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    w_lim, a_lim = np.sqrt(6.0 / (3 + 2)), np.sqrt(6.0 / (4 + 1))
+    W = [rng.uniform(-w_lim, w_lim, size=(3, 2)) for _ in range(4)]
+    a = [rng.uniform(-a_lim, a_lim, size=(4, 1)) for _ in range(4)]
+    assert np.array_equal(layer.W.data, np.stack(W))
+    assert np.array_equal(layer.a.data, np.stack(a))
+    assert [name for name, _ in layer.named_parameters()] == ["W", "a"]
+
+
+def test_old_checkpoint_format_rejected(tmp_path):
+    model = GnnModel(ModelConfig(backbone="gat", hidden_dim=4, heads=(2, 1)),
+                     3, 2, np.random.default_rng(13))
+    save_checkpoint(model, tmp_path / "ck")
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert manifest["format"] == 2
+    assert [p["name"] for p in manifest["params"]][:2] == [
+        "layers.0.W", "layers.0.a"]
+    manifest["format"] = 1
+    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ModelError):
+        load_checkpoint(tmp_path / "ck")

@@ -38,6 +38,7 @@ from gnncl.engine import (
     sum_axis,
     take_cols,
     tanh,
+    transpose,
 )
 from gnncl.engine.ops import segment_max
 
@@ -231,6 +232,33 @@ def test_segment_plan_layout():
     assert not plan.ids.flags.writeable
 
 
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12),
+       st.integers(1, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_plan_copies_match_a_validated_plan(ids, count, rows):
+    # copy c of the range [0, bound) is [c*bound, (c+1)*bound); the
+    # copied plan equals one built and scanned from the shifted ids,
+    # and is kept on the plan it was copied from
+    ids = np.sort(np.asarray(ids)) if not rows else np.asarray(ids)
+    bound = int(ids.max()) + 1
+    plan = (SegmentPlan.rows(ids, bound) if rows
+            else SegmentPlan(ids, bound))
+    shifted = np.concatenate([ids + c * bound for c in range(count)])
+    want = (SegmentPlan.rows(shifted, count * bound) if rows
+            else SegmentPlan(shifted, count * bound))
+    got = plan.copies(count)
+    assert got.bound == want.bound
+    assert np.array_equal(got.ids, want.ids)
+    assert not got.ids.flags.writeable
+    if want.starts is None:
+        assert got.starts is None
+    else:
+        assert np.array_equal(got.starts, want.starts)
+    assert np.array_equal(got.flat(3), want.flat(3))
+    assert plan.copies(count) is got
+    assert plan.copies(1) is plan
+
+
 def test_log_softmax_large_logits_stable():
     with Tape():
         out = log_softmax(Tensor([[1000.0, 0.0], [-1000.0, 0.0]]))
@@ -336,6 +364,39 @@ def test_matmul_shapes(n, k, m):
         out = matmul(Tensor(np.ones((n, k))), Tensor(np.ones((k, m))))
     assert out.shape == (n, m)
     assert np.allclose(out.data, k)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 4), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_stacked_matmul_slices_match_2d_products(n, k, m, heads, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(n, k)), rng.normal(size=(k, m))
+    xs, ys = rng.normal(size=(heads, n, k)), rng.normal(size=(heads, k, m))
+    for a, b, pick in ((x, ys, lambda i: (x, ys[i])),
+                       (xs, y, lambda i: (xs[i], y)),
+                       (xs, ys, lambda i: (xs[i], ys[i]))):
+        out = matmul(Tensor(a), Tensor(b)).data
+        assert out.shape == (heads, n, m)
+        for i in range(heads):
+            p, q = pick(i)
+            assert np.array_equal(out[i], matmul(Tensor(p), Tensor(q)).data)
+
+
+def test_matmul_and_transpose_validation():
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4, 5))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    with pytest.raises(ShapeError):
+        transpose(x)
+    with pytest.raises(ShapeError):
+        transpose(x, (0, 0, 1))
+    assert np.array_equal(transpose(x, (1, 0, 2)).data,
+                          np.transpose(x.data, (1, 0, 2)))
 
 
 def test_relu_exp_values():

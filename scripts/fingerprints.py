@@ -1,6 +1,15 @@
-"""R.csv fingerprints for every dataset kind x backbone x strategy.
+"""Dataset fingerprints, then R.csv fingerprints for every dataset kind x
+backbone x strategy.
 
-Prints one line per run, ``<kind>-<backbone>-<STRATEGY> <r> <curves>``:
+The first lines, one per generated dataset, read ``dataset-<name>-<seed>
+<hash>``: the sha256 over every graph's CSR arrays, features, labels and
+normalized adjacency (edges and weights), plus a pool's graph labels.
+They cover the default SBM, the 3,840-node SBM of the sbm16x perfbench
+workload and the default graph pools, each at seeds 0 and 7919, and
+print within seconds, so a change to graph construction can be checked
+bit for bit before any training starts.
+
+Then comes one line per run, ``<kind>-<backbone>-<STRATEGY> <r> <curves>``:
 the sha256 of the run's R.csv and the sha256 of its loss curves (every
 task's per-epoch losses as float64 bytes, in task order), or the
 exception type name in place of both when the run fails. R.csv holds
@@ -19,10 +28,33 @@ import hashlib
 import numpy as np
 
 from gnncl.continual.strategies import STRATEGY_KINDS
-from gnncl.harness.runner import run_config_from_dict, run_sequence
+from gnncl.graphs import normalize_adjacency
+from gnncl.harness.runner import (build_dataset, resolve_dataset,
+                                  run_config_from_dict, run_sequence)
 
 KINDS = ("sbm", "graphs")  # "path" would need a dataset directory
 BACKBONES = ("gcn", "gat", "gin")
+DATASETS = (
+    ("sbm", {"kind": "sbm"}),
+    # the sizes of perfbench's sbm16x-gat-finetune workload
+    ("sbm16x", {"kind": "sbm", "nodes_per_class": 640,
+                "p_in": 0.0184375, "p_out": 0.0021875}),
+    ("graphs", {"kind": "graphs"}),
+)
+DATASET_SEEDS = (0, 7919)
+
+
+def dataset_hash(dataset: dict, seed: int) -> str:
+    seq = build_dataset(resolve_dataset(dataset), seed)
+    h = hashlib.sha256()
+    for g in [seq.graph] if seq.graph is not None else seq.graphs:
+        adj = normalize_adjacency(g)
+        for a in (g.row_ptr, g.col_idx, g.features, g.labels,
+                  adj.row_ptr, adj.edge_src, adj.edge_dst, adj.weights):
+            h.update(a.tobytes())
+    h.update(np.array([g.graph_label for g in seq.graphs],
+                      np.int64).tobytes())
+    return h.hexdigest()
 
 
 def main() -> None:
@@ -31,6 +63,10 @@ def main() -> None:
     ap.add_argument("--epochs", type=int, default=20)
     args = ap.parse_args()
 
+    for name, dataset in DATASETS:
+        for seed in DATASET_SEEDS:
+            print(f"dataset-{name}-{seed}", dataset_hash(dataset, seed),
+                  flush=True)
     for kind in KINDS:
         for backbone in BACKBONES:
             for strategy in STRATEGY_KINDS:

@@ -32,6 +32,16 @@ def _split_mask(nodes: np.ndarray, num_nodes: int, train_fraction: float,
     return train, test
 
 
+def _upper_pairs(hit: np.ndarray) -> np.ndarray:
+    """The (i, j) pairs with i < j where the square mask ``hit`` is set,
+    in row-major order: the edges of an undirected draw."""
+    # np.nonzero on a 2-D mask is several times slower than on its flat
+    # view
+    src, dst = np.divmod(np.flatnonzero(hit), hit.shape[1])
+    upper = src < dst
+    return np.stack([src[upper], dst[upper]], axis=1)
+
+
 def generate_sbm_tasks(num_classes: int, classes_per_task: int,
                        nodes_per_class: int, p_in: float, p_out: float,
                        feature_dim: int, noise_sigma: float,
@@ -57,12 +67,12 @@ def generate_sbm_tasks(num_classes: int, classes_per_task: int,
     n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes), nodes_per_class)
 
-    edge_rng = np.random.default_rng([seed, 0])
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    draw = edge_rng.random((n, n))
-    upper = np.triu(draw < prob, k=1)
-    src, dst = np.nonzero(upper)
-    edges = np.stack([src, dst], axis=1)
+    draw = np.random.default_rng([seed, 0]).random((n, n))
+    hit = draw < p_out
+    for c in range(num_classes):
+        block = slice(c * nodes_per_class, (c + 1) * nodes_per_class)
+        hit[block, block] = draw[block, block] < p_in
+    edges = _upper_pairs(hit)
 
     feat_rng = np.random.default_rng([seed, 1])
     protos = feat_rng.normal(size=(num_classes, feature_dim))
@@ -116,10 +126,7 @@ def rule_statistic(graph: Graph, kind: str) -> float:
 def _random_graph(rng: np.random.Generator, num_nodes: int,
                   feature_dim: int) -> Graph:
     p = rng.uniform(0.15, 0.5)
-    draw = rng.random((num_nodes, num_nodes))
-    upper = np.triu(draw < p, k=1)
-    src, dst = np.nonzero(upper)
-    edges = np.stack([src, dst], axis=1)
+    edges = _upper_pairs(rng.random((num_nodes, num_nodes)) < p)
     # constant first channel plus noise: degree information then flows
     # through sum aggregation
     features = rng.normal(scale=0.1, size=(num_nodes, feature_dim))

@@ -41,10 +41,6 @@ class Graph:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.graph_label = graph_label
         self._validate()
-        # edge arrays in CSR order: edge e runs col_idx[e] -> dst[e]
-        self.edge_dst = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                                  np.diff(self.row_ptr))
-        self.edge_src = self.col_idx
 
     def _validate(self) -> None:
         n = self.num_nodes
@@ -54,17 +50,26 @@ class Graph:
             raise GraphError(f"row_ptr must have length {n + 1}")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.col_idx.shape[0]:
             raise GraphError("row_ptr endpoints do not match edge count")
-        if np.any(np.diff(self.row_ptr) < 0):
+        counts = np.diff(self.row_ptr)
+        if np.any(counts < 0):
             raise GraphError("row_ptr must be non-decreasing")
         if self.col_idx.size and (
                 self.col_idx.min() < 0 or self.col_idx.max() >= n):
             raise GraphError(f"column indices out of range [0, {n})")
-        for i in range(n):
-            row = self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
-            if np.any(row == i):
-                raise GraphError(f"self-loop on node {i}")
-            if len(np.unique(row)) != len(row):
-                raise GraphError(f"duplicate edges in row {i}")
+        # edge arrays in CSR order: edge e runs col_idx[e] -> dst[e]
+        self.edge_dst = np.repeat(np.arange(n, dtype=np.int64), counts)
+        self.edge_src = self.col_idx
+        # report the lowest offending row, a self-loop before a duplicate
+        # in the same row
+        loops = np.flatnonzero(self.col_idx == self.edge_dst)
+        loop_row = int(self.edge_dst[loops[0]]) if loops.size else n
+        keys = np.sort(self.edge_dst * n + self.col_idx)
+        dups = keys[1:][keys[1:] == keys[:-1]]
+        dup_row = int(dups[0]) // n if dups.size else n
+        if loop_row < n and loop_row <= dup_row:
+            raise GraphError(f"self-loop on node {loop_row}")
+        if dup_row < n:
+            raise GraphError(f"duplicate edges in row {dup_row}")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise GraphError(
                 f"features must be [{n} x d], got {self.features.shape}")
@@ -79,25 +84,51 @@ class Graph:
         return np.diff(self.row_ptr)
 
 
+def _edge_pairs(edges, num_nodes: int) -> np.ndarray:
+    """``edges`` as an (E, 2) int64 array of ``[src, dst]`` pairs, or
+    :class:`GraphError` unless it is empty or an (E, 2) array of integral
+    values in ``[0, num_nodes)``."""
+    try:
+        pairs = np.asarray(edges)
+    except ValueError as e:  # ragged nesting
+        raise GraphError(f"edges must be [src, dst] pairs: {e}") from None
+    if pairs.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(
+            f"edges must be [src, dst] pairs, got shape {pairs.shape}")
+    if np.issubdtype(pairs.dtype, np.floating):
+        if not np.all(np.isfinite(pairs) & (pairs == np.round(pairs))):
+            raise GraphError("edge endpoints must be integers")
+    elif not np.issubdtype(pairs.dtype, np.integer):
+        raise GraphError(
+            f"edge endpoints must be integers, got {pairs.dtype}")
+    if pairs.min() < 0 or pairs.max() >= num_nodes:
+        raise GraphError(f"edge endpoint out of range [0, {num_nodes})")
+    return pairs.astype(np.int64)
+
+
 def graph_from_edges(num_nodes: int, edges: Sequence[Tuple[int, int]],
                      features: np.ndarray, labels: np.ndarray,
                      directed: bool = False,
                      graph_label: Optional[int] = None) -> Graph:
     """Build a CSR graph from an edge list, deduplicating.
 
-    Undirected input stores both directions; a directed pair is kept
-    as given (row i = targets of i's out-edges).
+    ``edges`` is empty or an (E, 2) array-like of integral ``[src, dst]``
+    pairs. Undirected input stores both directions; a directed pair is
+    kept as given (row i = targets of i's out-edges). Rows are sorted.
     """
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
-        raise GraphError(f"edge endpoint out of range [0, {num_nodes})")
-    if not directed and pairs.size:
-        pairs = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
-    if pairs.size:
-        pairs = np.unique(pairs, axis=0)
-        rows, cols = pairs[:, 0], pairs[:, 1]
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
+    pairs = _edge_pairs(edges, num_nodes)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    keys = src * num_nodes + dst
+    if not directed:
+        keys = np.concatenate([keys, dst * num_nodes + src])
+    # one key per distinct pair, sorted: CSR order, rows then columns.
+    # Sort and drop repeats rather than call np.unique, which hashes 1-D
+    # integers and is then many times slower than the sort.
+    keys = np.sort(keys)
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    rows, cols = np.divmod(keys, num_nodes)
     counts = np.bincount(rows, minlength=num_nodes)
     row_ptr = np.concatenate([[0], np.cumsum(counts)])
     return Graph(num_nodes, row_ptr, cols, features, labels, graph_label)
@@ -115,18 +146,14 @@ class NormalizedAdjacency:
     def __init__(self, graph: Graph):
         n = graph.num_nodes
         deg = graph.degrees() + 1
-        src_parts = []
-        dst_parts = []
-        for i in range(n):
-            row = graph.col_idx[graph.row_ptr[i]:graph.row_ptr[i + 1]]
-            merged = np.sort(np.concatenate([row, [i]]))
-            src_parts.append(merged)
-            dst_parts.append(np.full(len(merged), i, dtype=np.int64))
+        # one sort of the dst * n + src keys, the n self-loops' included,
+        # lists each row's sources in order
+        loop_keys = np.arange(n, dtype=np.int64) * (n + 1)
+        keys = np.sort(np.concatenate(
+            [graph.edge_dst * n + graph.edge_src, loop_keys]))
         self.num_nodes = n
-        self.edge_src = np.concatenate(src_parts)
-        self.edge_dst = np.concatenate(dst_parts)
-        counts = np.bincount(self.edge_dst, minlength=n)
-        self.row_ptr = np.concatenate([[0], np.cumsum(counts)])
+        self.edge_dst, self.edge_src = np.divmod(keys, n)
+        self.row_ptr = graph.row_ptr + np.arange(n + 1)
         self.col_idx = self.edge_src
         inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
         self.weights = inv_sqrt[self.edge_dst] * inv_sqrt[self.edge_src]

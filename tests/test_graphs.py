@@ -23,7 +23,7 @@ from gnncl.graphs import (
     save_dataset,
     sequences_equal,
 )
-from gnncl.graphs.generators import RULE_KINDS
+from gnncl.graphs.generators import RULE_KINDS, _random_graph
 
 
 def toy_graph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3))):
@@ -112,6 +112,173 @@ def test_merge_graphs_block_diagonal():
     assert not any((d < 3) != (s < 3) for d, s in pairs)
 
 
+@pytest.mark.parametrize("edges", [
+    [[0, 1, 2], [3, 4, 5]],  # (E, 3)
+    [0, 1, 2, 3],            # flat
+    [[0.7, 1.2]],            # not integral
+    [[0, float("nan")]],
+    [[True, False]],
+    [["0", "1"]],
+    [[0, 1], [2]],           # ragged
+])
+def test_malformed_edges_rejected(edges):
+    with pytest.raises(GraphError):
+        graph_from_edges(6, edges, np.zeros((6, 1)),
+                         np.zeros(6, dtype=np.int64))
+
+
+def test_empty_and_integral_edge_inputs_accepted():
+    feats, labels = np.zeros((3, 1)), np.zeros(3, dtype=np.int64)
+    for empty in ([], np.zeros((0, 2)), np.zeros(0, dtype=np.int64)):
+        g = graph_from_edges(3, empty, feats, labels)
+        assert g.num_edges == 0 and g.row_ptr.tolist() == [0, 0, 0, 0]
+    g = graph_from_edges(3, [[0.0, 2.0]], feats, labels)
+    assert np.array_equal(g.col_idx, [2, 0])
+
+
+# per-node reference implementations: oracles for the vectorised ones
+
+
+def reference_csr(num_nodes, edges, directed):
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not directed and pairs.size:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
+    if pairs.size:
+        pairs = np.unique(pairs, axis=0)
+        rows, cols = pairs[:, 0], pairs[:, 1]
+    else:
+        rows = cols = np.zeros(0, dtype=np.int64)
+    counts = np.bincount(rows, minlength=num_nodes)
+    return np.concatenate([[0], np.cumsum(counts)]), cols
+
+
+def reference_adjacency(graph):
+    n = graph.num_nodes
+    src_parts, dst_parts = [], []
+    for i in range(n):
+        row = graph.col_idx[graph.row_ptr[i]:graph.row_ptr[i + 1]]
+        merged = np.sort(np.concatenate([row, [i]]))
+        src_parts.append(merged)
+        dst_parts.append(np.full(len(merged), i, dtype=np.int64))
+    src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
+    inv_sqrt = 1.0 / np.sqrt((graph.degrees() + 1).astype(np.float64))
+    return src, dst, row_ptr, inv_sqrt[dst] * inv_sqrt[src]
+
+
+def reference_row_check(num_nodes, row_ptr, col_idx):
+    for i in range(num_nodes):
+        row = col_idx[row_ptr[i]:row_ptr[i + 1]]
+        if np.any(row == i):
+            raise GraphError(f"self-loop on node {i}")
+        if len(np.unique(row)) != len(row):
+            raise GraphError(f"duplicate edges in row {i}")
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and an unsorted edge list over it, with repeats, both
+    directions of some pairs and room for isolated nodes."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, []
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        .map(lambda p: (p[0], (p[0] + p[1]) % n)), max_size=30))
+    return n, pairs
+
+
+@given(edge_lists(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_construction_matches_per_node_oracle(case, directed):
+    n, pairs = case
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = graph_from_edges(n, edges, np.zeros((n, 1)),
+                         np.zeros(n, dtype=np.int64), directed=directed)
+    assert_same_arrays((g.row_ptr, g.col_idx),
+                       reference_csr(n, edges, directed))
+    assert np.array_equal(
+        g.edge_dst, np.repeat(np.arange(n), np.diff(g.row_ptr)))
+    adj = normalize_adjacency(g)
+    assert_same_arrays((adj.edge_src, adj.edge_dst, adj.row_ptr,
+                        adj.weights), reference_adjacency(g))
+
+
+@given(edge_lists(), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_adjacency_of_unsorted_rows_matches_oracle(case, seed):
+    # a Graph built directly may list a row's neighbors in any order
+    n, pairs = case
+    g = graph_from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                         np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
+    rng = np.random.default_rng(seed)
+    col = np.concatenate([rng.permutation(g.col_idx[a:b])
+                          for a, b in zip(g.row_ptr[:-1], g.row_ptr[1:])])
+    shuffled = Graph(n, g.row_ptr, col, g.features, g.labels)
+    adj = normalize_adjacency(shuffled)
+    assert_same_arrays((adj.edge_src, adj.edge_dst, adj.row_ptr,
+                        adj.weights), reference_adjacency(shuffled))
+
+
+@st.composite
+def csr_inputs(draw):
+    """Raw CSR rows over a few nodes; rows may hold self-loops and
+    repeated neighbors, which the draw injects at random."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        row = draw(st.lists(st.sampled_from(others), max_size=4,
+                            unique=True)) if others else []
+        if row and draw(st.integers(0, 4)) == 0:
+            row.insert(draw(st.integers(0, len(row))),
+                       draw(st.sampled_from(row)))
+        if draw(st.integers(0, 5)) == 0:
+            row.insert(draw(st.integers(0, len(row))), i)
+        rows.append(row)
+    row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    col_idx = np.array([j for r in rows for j in r], dtype=np.int64)
+    return n, row_ptr, col_idx
+
+
+@given(csr_inputs())
+@settings(max_examples=150, deadline=None)
+def test_validation_matches_per_row_oracle(case):
+    n, row_ptr, col_idx = case
+    try:
+        reference_row_check(n, row_ptr, col_idx)
+        want = None
+    except GraphError as e:
+        want = str(e)
+    try:
+        Graph(n, row_ptr, col_idx, np.zeros((n, 1)),
+              np.zeros(n, dtype=np.int64))
+        got = None
+    except GraphError as e:
+        got = str(e)
+    assert got == want
+
+
+def test_validation_names_lowest_row_and_loop_first():
+    def message(n, rows):
+        row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        col = np.array([j for r in rows for j in r], dtype=np.int64)
+        with pytest.raises(GraphError) as info:
+            Graph(n, row_ptr, col, np.zeros((n, 1)),
+                  np.zeros(n, dtype=np.int64))
+        return str(info.value)
+
+    assert message(3, [[1], [0, 2, 2], [1, 2]]) == "duplicate edges in row 1"
+    assert message(3, [[1], [2, 1, 2], []]) == "self-loop on node 1"
+    assert message(3, [[1], [0], [2, 0, 0]]) == "self-loop on node 2"
+
+
 # generators -----------------------------------------------------------
 
 
@@ -133,6 +300,42 @@ def test_sbm_no_cross_edges_when_p_out_zero():
     g = seq.graph
     blocks = g.labels[np.arange(g.num_nodes)]
     assert np.all(blocks[g.edge_src] == blocks[g.edge_dst])
+
+
+def dense_upper_edges(draw, prob):
+    src, dst = np.nonzero(np.triu(draw < prob, k=1))
+    return np.stack([src, dst], axis=1)
+
+
+@pytest.mark.parametrize("seed,num_classes,per_class,p_in,p_out", [
+    (0, 6, 40, 0.295, 0.035),
+    (7919, 4, 9, 0.5, 0.0),
+    (3, 2, 13, 1.0, 0.2),
+    (11, 3, 1, 1.0, 0.0),
+    (5, 4, 25, 0.3, 0.29),
+])
+def test_sbm_edges_match_dense_oracle(seed, num_classes, per_class, p_in,
+                                      p_out):
+    n = num_classes * per_class
+    labels = np.repeat(np.arange(num_classes), per_class)
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    draw = np.random.default_rng([seed, 0]).random((n, n))
+    want = reference_csr(n, dense_upper_edges(draw, prob), directed=False)
+    g = generate_sbm_tasks(num_classes, num_classes, per_class, p_in, p_out,
+                           4, 0.1, seed=seed).graph
+    assert_same_arrays((g.row_ptr, g.col_idx), want)
+
+
+@pytest.mark.parametrize("seed,num_nodes", [(0, 3), (1, 8), (7919, 16),
+                                            (4, 40)])
+def test_random_graph_edges_match_dense_oracle(seed, num_nodes):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.15, 0.5)
+    draw = rng.random((num_nodes, num_nodes))
+    want = reference_csr(num_nodes, dense_upper_edges(draw, p),
+                         directed=False)
+    g = _random_graph(np.random.default_rng(seed), num_nodes, 4)
+    assert_same_arrays((g.row_ptr, g.col_idx), want)
 
 
 def test_sbm_split_sizes():
@@ -283,6 +486,19 @@ def test_load_rejects_label_out_of_range(tmp_path):
     lines[0] = "9"
     f.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetError):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, 2]], [0, 1], [[0.5, 1]]])
+def test_load_rejects_malformed_edges(tmp_path, edges):
+    seq = generate_sbm_tasks(2, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
+    save_dataset(seq, tmp_path / "ds")
+    import json
+    p = tmp_path / "ds" / "graph.json"
+    spec = json.loads(p.read_text())
+    spec["edges"] = edges
+    p.write_text(json.dumps(spec))
+    with pytest.raises(DatasetError, match="graph.json"):
         load_dataset(tmp_path / "ds")
 
 

@@ -8,6 +8,7 @@ from .ops import (
     broadcast_to,
     cross_entropy,
     div,
+    edge_dot,
     elu,
     exp,
     gather_rows,
@@ -73,9 +74,9 @@ __all__ = [
     "MissingDependencyError", "Node", "SegmentError", "SegmentPlan",
     "ShapeError", "Tape", "TapeMode", "TapeModeError", "Tensor",
     "abs_", "active_tape", "add", "as_tensor", "backward",
-    "binary_cross_entropy", "broadcast_to", "cross_entropy", "div", "elu",
-    "exp", "gather_rows", "l1_norm", "leaky_relu", "log", "log_softmax",
-    "matmul", "mean_", "mul", "neg", "ones", "place_cols", "relu",
+    "binary_cross_entropy", "broadcast_to", "cross_entropy", "div",
+    "edge_dot", "elu", "exp", "gather_rows", "l1_norm", "leaky_relu",
+    "log", "log_softmax", "matmul", "mean_", "mul", "neg", "ones", "place_cols", "relu",
     "reshape", "scatter_sum", "segment_softmax", "sigmoid", "sq_l2_norm",
     "square", "sub", "sum_", "sum_axis", "sum_to", "take_cols", "tanh",
     "transpose", "zeros", "zeros_like",

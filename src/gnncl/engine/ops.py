@@ -461,28 +461,125 @@ def gather_rows(x: Tensor, idx) -> Tensor:
                   build)
 
 
-def scatter_sum(x: Tensor, idx, num_segments: int) -> Tensor:
+def _gather_rows_into_workspace(x: np.ndarray,
+                                plan: SegmentPlan) -> np.ndarray:
+    """``x[plan.ids]`` written into the plan's workspace, valid until
+    the next gather through the plan."""
+    tail = x.shape[1:]
+    work = plan.workspace(int(np.prod(tail, dtype=np.int64)))
+    # the ids are validated, so clipping never moves one; with the
+    # default mode numpy would gather into a temporary and copy
+    return np.take(x, plan.ids, axis=0, mode="clip",
+                   out=work.reshape((len(plan),) + tail))
+
+
+def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
+                weights=None) -> Tensor:
     """Sum rows of ``x`` into ``num_segments`` buckets given by ``idx``.
 
     ``idx`` is an integer array or a :class:`SegmentPlan` with bound
     ``num_segments``. The sum is one ``np.bincount`` over the flattened
     values. It adds each bucket's rows in row order, as the unbuffered
     ``np.add`` scatter does, so the two agree bit for bit.
+
+    With ``src`` (row indices into ``x``, raw or planned, one per entry
+    of ``idx``) the summed rows are ``x[src]``, and with ``weights`` each
+    of them is scaled first::
+
+        out[v] = sum over e with idx[e] == v of weights[e] * x[src[e]]
+
+    ``weights`` has shape ``(E,)`` for ``x`` of shape ``(n, d)``, or
+    ``(E, H)`` for ``(n, H, d)``: one factor per row, or per head of a
+    row. The gathered rows exist only inside the call, and the result
+    equals ``scatter_sum(mul(gather_rows(x, src), w[..., None]), idx,
+    n)`` bit for bit. The cotangent of ``x`` is this scatter with
+    ``src`` and ``idx`` swapped and that of ``weights`` is
+    :func:`edge_dot`, whose cotangents are again such scatters, so no
+    gathered rows stay on a tape at any order.
     """
     x = as_tensor(x)
-    plan = _segment_plan(idx, x.shape[0], num_segments)
+    n = x.shape[0]
+    rows = None
+    inputs: Tuple[Tensor, ...] = (x,)
+    if src is None:
+        if weights is not None:
+            raise ShapeError("weights scale gathered rows; give src")
+        plan = _segment_plan(idx, n, num_segments)
+        values = x.data
+    else:
+        rows = _row_plan(src, n)
+        plan = _segment_plan(idx, len(rows), num_segments)
+        values = _gather_rows_into_workspace(x.data, rows)
+        if weights is not None:
+            weights = as_tensor(weights)
+            if x.ndim < 2 or weights.shape != (len(rows),) + x.shape[1:-1]:
+                raise ShapeError(
+                    f"weights of shape {weights.shape} do not scale "
+                    f"{len(rows)} rows of shape {x.shape[1:]}")
+            values *= weights.data[..., None]
+            inputs = (x, weights)
     tail = x.shape[1:]
     width = int(np.prod(tail, dtype=np.int64))
-    data = np.bincount(plan.flat(width), weights=x.data.ravel(),
+    data = np.bincount(plan.flat(width), weights=values.ravel(),
                        minlength=num_segments * width)
     data = data.reshape((num_segments,) + tail)
 
     def build(out):
         def vjp(g, live):
-            return (gather_rows(g, plan),)
+            if rows is None:
+                return (gather_rows(g, plan),)
+            gx = (scatter_sum(g, rows, n, src=plan, weights=weights)
+                  if live[0] else None)
+            if weights is None:
+                return (gx,)
+            return (gx, edge_dot(g, x, plan, rows) if live[1] else None)
         return vjp
 
-    return _apply("scatter_sum", data, (x,), build)
+    return _apply("scatter_sum", data, inputs, build)
+
+
+def edge_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
+    """One score per edge: ``out[e]`` is the sum over the last axis of
+    ``a[ia[e]] * b[ib[e]]``.
+
+    ``a`` and ``b`` share their shape past the first axis, ``(d,)`` or
+    ``(H, d)``, and the output has shape ``(E,)`` or ``(E, H)``.
+    ``ia`` and ``ib`` are row indices, raw or planned, of one length E.
+    The result equals ``sum_axis(mul(gather_rows(a, ia),
+    gather_rows(b, ib)), -1)`` bit for bit. Each input's cotangent is
+    one :func:`scatter_sum` of the other input, weighted by the
+    output's cotangent.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim < 2 or a.shape[1:] != b.shape[1:]:
+        raise ShapeError(
+            f"edge_dot rows of shapes {a.shape} and {b.shape} do not align")
+    na, nb = a.shape[0], b.shape[0]
+    pa, pb = _row_plan(ia, na), _row_plan(ib, nb)
+    if len(pa) != len(pb):
+        raise ShapeError(f"{len(pa)} and {len(pb)} edge endpoints")
+    prod = _gather_rows_into_workspace(a.data, pa)
+    prod *= (np.take(b.data, pb.ids, axis=0) if pb is pa
+             else _gather_rows_into_workspace(b.data, pb))
+    width = prod.shape[-1]
+    if width < 8:
+        # numpy adds fewer than 8 values in order, starting from +0.0;
+        # column by column that order is several times faster
+        data = prod[..., 0] + 0.0
+        for k in range(1, width):
+            data += prod[..., k]
+    else:
+        data = prod.sum(axis=-1)
+
+    def build(out):
+        def vjp(g, live):
+            return (scatter_sum(b, pa, na, src=pb, weights=g)
+                    if live[0] else None,
+                    scatter_sum(a, pb, nb, src=pa, weights=g)
+                    if live[1] else None)
+        return vjp
+
+    return _apply("edge_dot", data, (a, b), build)
 
 
 def _col_plan(cols, width: int) -> SegmentPlan:
@@ -547,33 +644,39 @@ def place_cols(x: Tensor, cols, width: int) -> Tensor:
 
 
 def segment_max(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
-    """Per-segment max of a 1-D array, as a constant (no tape).
+    """Per-segment max of an ``(E,)`` or ``(E, H)`` array, column by
+    column, as a constant (no tape).
 
-    Uses ``np.maximum.reduceat`` over the plan's segment starts when it
-    has them, and an unbuffered ``np.maximum`` scatter otherwise. Max is
-    exact in any order, so both give the same bits. An empty segment
-    reads ``-inf``.
+    Uses ``np.maximum.reduceat`` along axis 0 over the plan's segment
+    starts when it has them, and an unbuffered ``np.maximum`` scatter
+    otherwise. Max is exact in any order, so both give the same bits.
+    An empty segment reads ``-inf``.
     """
     if plan.starts is not None:
-        return np.maximum.reduceat(values, plan.starts)
-    out = np.full(plan.bound, -np.inf)
+        return np.maximum.reduceat(values, plan.starts, axis=0)
+    out = np.full((plan.bound,) + values.shape[1:], -np.inf)
     np.maximum.at(out, plan.ids, values)
     return out
 
 
 def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Softmax over groups of a 1-D score vector.
+    """Softmax over groups of the rows of ``scores``, column by column.
 
-    ``segment_ids[e]`` names the group of ``scores[e]``; entries of each
-    group sum to 1 in the output. Every group in ``[0, num_segments)``
-    must be non-empty. The per-group max is subtracted as a constant
-    before exponentiation; shift invariance keeps all derivatives exact.
-    ``segment_ids`` is an integer array or a :class:`SegmentPlan`; see
-    :func:`segment_max` for how the max is taken.
+    ``scores`` has shape ``(E,)`` or ``(E, H)``; ``segment_ids[e]``
+    names the group of row e, and in each column the entries of each
+    group sum to 1 in the output. An ``(E, H)`` call equals H calls on
+    its columns bit for bit: the per-group sums are one width-H
+    bincount that adds each column's rows in row order. Every group in
+    ``[0, num_segments)`` must be non-empty. The per-group max is
+    subtracted as a constant before exponentiation; shift invariance
+    keeps all derivatives exact. ``segment_ids`` is an integer array or
+    a :class:`SegmentPlan`; see :func:`segment_max` for how the max is
+    taken.
     """
     scores = as_tensor(scores)
-    if scores.ndim != 1:
-        raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")
+    if scores.ndim not in (1, 2):
+        raise ShapeError(
+            f"scores must be 1-D or 2-D, got shape {scores.shape}")
     plan = _segment_plan(segment_ids, scores.shape[0], num_segments,
                          what="scores")
     if len(plan) == 0:
@@ -582,7 +685,7 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
         empty = int(np.argmin(plan.counts))
         raise SegmentError(f"segment {empty} has no entries")
     seg_max = segment_max(scores.data, plan)
-    shifted = sub(scores, Tensor(np.take(seg_max, plan.ids)))
+    shifted = sub(scores, Tensor(np.take(seg_max, plan.ids, axis=0)))
     num = exp(shifted)
     denom = scatter_sum(num, plan, num_segments)
     return div(num, gather_rows(denom, plan))

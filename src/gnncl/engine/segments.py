@@ -1,15 +1,18 @@
 """Validated index vectors for the indexed ops.
 
 A :class:`SegmentPlan` holds int64 ids in ``[0, bound)``, checked once
-when the plan is built. ``gather_rows``, ``scatter_sum`` and
-``segment_softmax`` accept a plan wherever they accept an index array;
-given a plan they only compare its length and bound with the tensor,
-so an index used on every forward pass (and by the VJPs of the ops that
-use it) is validated once rather than per call.
+when the plan is built. ``gather_rows``, ``scatter_sum`` (its segment
+ids and its ``src`` rows), ``edge_dot`` and ``segment_softmax`` accept
+a plan wherever they accept an index array; given a plan they only
+compare its length and bound with the tensor, so an index used on every
+forward pass (and by the VJPs of the ops that use it, which swap the
+row and segment roles of an edge's two endpoints) is validated once
+rather than per call.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict, Optional, Type
 
 import numpy as np
@@ -45,12 +48,14 @@ class SegmentPlan:
     Otherwise ``starts`` is None. ``flat(width)`` caches the index that
     ``scatter_sum`` hands to ``np.bincount`` for rows of ``width``
     values; ``counts`` caches the segment sizes and ``distinct`` whether
-    no id repeats; ``copies(count)`` caches the plan over ``count``
-    disjoint copies of the range.
+    no id repeats. Multi-head layers scatter rows of ``H * d`` values
+    over the one plan of their graph, so every layer of the same width
+    shares one cached flat index. ``workspace(width)`` is the array that
+    the fused edge kernels gather rows of ``width`` values into.
     """
 
-    __slots__ = ("ids", "bound", "starts", "_flat", "_counts", "_distinct",
-                 "_copies")
+    __slots__ = ("ids", "bound", "starts", "_flat", "_work", "_counts",
+                 "_distinct")
 
     def __init__(self, ids, num_segments: int, scan: bool = True):
         num_segments = int(num_segments)
@@ -71,37 +76,15 @@ class SegmentPlan:
                    num_rows, scan=False)
         return plan
 
-    def copies(self, count: int) -> "SegmentPlan":
-        """This plan over ``count`` disjoint copies of its range, one
-        after another: copy c's ids are shifted by ``c * bound``. The
-        ids are already valid, so nothing is checked or scanned again;
-        segment starts carry over, shifted the same way. Built once per
-        count and cached; one copy is the plan itself."""
-        count = int(count)
-        if count == 1:
-            return self
-        plan = self._copies.get(count)
-        if plan is None:
-            plan = SegmentPlan.__new__(SegmentPlan)
-            shift = np.arange(count, dtype=np.int64)[:, None]
-            plan._init((shift * self.bound + self.ids).ravel(),
-                       count * self.bound, scan=False)
-            if self.starts is not None:
-                starts = (shift * len(self) + self.starts).ravel()
-                starts.flags.writeable = False
-                plan.starts = starts
-            self._copies[count] = plan
-        return plan
-
     def _init(self, ids: np.ndarray, bound: int, scan: bool) -> None:
         ids.flags.writeable = False
         self.ids = ids
         self.bound = bound
         self.starts: Optional[np.ndarray] = None
         self._flat: Dict[int, np.ndarray] = {1: ids}
+        self._work: Dict[int, np.ndarray] = {}
         self._counts: Optional[np.ndarray] = None
         self._distinct: Optional[bool] = None
-        self._copies: Dict[int, "SegmentPlan"] = {}
         if scan and ids.size and ids[0] == 0 and ids[-1] == bound - 1:
             steps = np.diff(ids)
             # sorted with no gap <=> every step is 0 or 1
@@ -139,3 +122,20 @@ class SegmentPlan:
             flat.flags.writeable = False
             self._flat[width] = flat
         return flat
+
+    def workspace(self, width: int) -> np.ndarray:
+        """A ``(len, width)`` float64 array kept on the plan for rows
+        gathered through it. The fused edge kernels fill it and use it
+        up within one call: one buffer reused for the life of the plan
+        faults its pages in once, where a fresh array on every call can
+        fault them in again each time. The buffer is an anonymous
+        mapping of its own, unmapped when the plan dies, so it never
+        pins the allocator's heap."""
+        work = self._work.get(width)
+        if work is None:
+            shape = (len(self), width)
+            size = 8 * shape[0] * shape[1]
+            work = (np.frombuffer(mmap.mmap(-1, size), np.float64)
+                    .reshape(shape) if size else np.empty(shape))
+            self._work[width] = work
+        return work

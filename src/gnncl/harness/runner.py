@@ -104,6 +104,21 @@ def _dataclass_from(name: str, cls, raw: Mapping[str, Any]):
         raise ConfigError(f"bad {name} config: {exc}") from exc
 
 
+# model fields that only one backbone reads
+BACKBONE_FIELDS = {"gat": ("heads", "attention_slope"),
+                   "gin": ("gin_eps", "gin_eps_learnable")}
+
+
+def _check_backbone_fields(raw: Mapping[str, Any], backbone: str) -> None:
+    """Reject a field given for a backbone that would ignore it."""
+    for owner, names in BACKBONE_FIELDS.items():
+        stray = [name for name in names if name in raw]
+        if stray and backbone != owner:
+            raise ConfigError(
+                f"model field(s) {', '.join(stray)} apply to the '{owner}' "
+                f"backbone only, not '{backbone}'")
+
+
 def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     known = {"dataset", "model", "strategy", "metric", "seed", "out_dir"}
     unknown = set(raw) - known
@@ -112,6 +127,7 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
             f"unknown run config field(s): {', '.join(sorted(unknown))}")
     dataset = resolve_dataset(raw.get("dataset", {}))
     model = _dataclass_from("model", ModelConfig, raw.get("model", {}))
+    _check_backbone_fields(raw.get("model", {}), model.backbone)
     strategy = _dataclass_from(
         "strategy", StrategyConfig, raw.get("strategy", {}))
     metric = raw.get(
@@ -129,10 +145,19 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
 
 
 def resolved_dict(cfg: RunConfig) -> Dict[str, Any]:
-    """JSON-ready echo of a config with every default materialized."""
+    """JSON-ready echo of a config with every default materialized.
+
+    The model section leaves out the fields of other backbones, which
+    the run does not read, so the echo loads back as the same config.
+    """
+    model = dataclasses.asdict(cfg.model)
+    for owner, names in BACKBONE_FIELDS.items():
+        if owner != cfg.model.backbone:
+            for name in names:
+                del model[name]
     return {
         "dataset": dict(cfg.dataset),
-        "model": dataclasses.asdict(cfg.model),
+        "model": model,
         "strategy": dataclasses.asdict(cfg.strategy),
         "metric": cfg.metric,
         "seed": cfg.seed,

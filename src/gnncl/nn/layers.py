@@ -73,9 +73,8 @@ class GcnLayer:
     def forward(self, h: Tensor, ctx) -> Tensor:
         adj = ctx.adj
         hw = matmul(h, self.W)
-        msgs = mul(gather_rows(hw, ctx.adj_src_plan),
-                   Tensor(adj.weights[:, None]))
-        agg = scatter_sum(msgs, ctx.adj_dst_plan, adj.num_nodes)
+        agg = scatter_sum(hw, ctx.adj_dst_plan, adj.num_nodes,
+                          src=ctx.adj_src_plan, weights=adj.weights)
         return self.act(add(agg, self.b))
 
 
@@ -84,12 +83,12 @@ class GatLayer:
 
     ``W`` stacks the heads' projections, shape (H, d_in, d_head), and
     ``a`` their attention vectors, shape (H, 2*d_head, 1), destination
-    half first. All heads run as one chain of ops: the edge-wise work
-    treats them as H disjoint copies of the graph, node v of head h
-    being node h*n + v (see :meth:`SegmentPlan.copies`); the sorted
-    destination plan keeps its segment starts. Heads merge by
-    concatenation or by mean; the final layer of a network must use
-    mean.
+    half first. All heads run as one chain of ops, edge-major over the
+    graph's one adjacency plan: scores are (n, H) per node and (E, H)
+    per edge, the segment softmax normalizes each head's column, and
+    one fused :func:`scatter_sum` weights and sums the (n, H, d_head)
+    projected rows into (n, H, d_head). Heads merge by concatenation (a
+    reshape) or by mean; the final layer of a network must use mean.
     """
 
     def __init__(self, d_in: int, d_out: int, num_heads: int,
@@ -126,30 +125,23 @@ class GatLayer:
     def _run(self, h: Tensor, ctx) -> Tuple[Tensor, Tensor]:
         heads, d = self.num_heads, self.d_head
         n = ctx.adj.num_nodes
-        rows = heads * n
-        src = ctx.adj_src_plan.copies(heads)
-        dst = ctx.adj_dst_plan.copies(heads)
-        e = len(src)
+        src, dst = ctx.adj_src_plan, ctx.adj_dst_plan
         hw = matmul(h, self.W)
         a = reshape(self.a, (2 * heads, d, 1))
-        a_dst = gather_rows(a, self._a_dst)
-        a_src = gather_rows(a, self._a_src)
-        s_dst = reshape(matmul(hw, a_dst), (rows, 1))
-        s_src = reshape(matmul(hw, a_src), (rows, 1))
+        # (H, n, 1) scores, node-major as (n, H, 1)
+        s_dst = transpose(matmul(hw, gather_rows(a, self._a_dst)), (1, 0, 2))
+        s_src = transpose(matmul(hw, gather_rows(a, self._a_src)), (1, 0, 2))
         logits = leaky_relu(
             reshape(add(gather_rows(s_dst, dst), gather_rows(s_src, src)),
-                    (e,)),
+                    (len(src), heads)),
             alpha=self.slope)
-        alpha = segment_softmax(logits, dst, rows)
-        msgs = mul(reshape(alpha, (e, 1)),
-                   gather_rows(reshape(hw, (rows, d)), src))
-        out = scatter_sum(msgs, dst, rows)
-        if self.merge == "concat":
-            out = reshape(transpose(reshape(out, (heads, n, d)), (1, 0, 2)),
-                          (n, heads * d))
-        elif heads > 1:
-            out = mul(sum_axis(reshape(out, (heads, n, d)), axis=0),
-                      Tensor(1.0 / heads))
+        alpha = segment_softmax(logits, dst, n)
+        out = scatter_sum(transpose(hw, (1, 0, 2)), dst, n, src=src,
+                          weights=alpha)
+        if self.merge == "concat" or heads == 1:
+            out = reshape(out, (n, heads * d))
+        else:
+            out = mul(sum_axis(out, axis=1), Tensor(1.0 / heads))
         return self.act(out), alpha
 
     def forward(self, h: Tensor, ctx) -> Tensor:
@@ -157,9 +149,10 @@ class GatLayer:
 
     def forward_with_attention(self, h: Tensor, ctx
                                ) -> Tuple[Tensor, Tensor]:
-        """The output and the coefficients of every head, head h's
-        edges at positions h*E to (h+1)*E."""
-        return self._run(h, ctx)
+        """The output and the coefficients of every head as one 1-D
+        vector, head h's edges at positions h*E to (h+1)*E."""
+        out, alpha = self._run(h, ctx)
+        return out, reshape(transpose(alpha), (alpha.size,))
 
 
 class GinLayer:

@@ -60,6 +60,11 @@ class ModelConfig:
             raise ModelError(f"unknown backbone '{self.backbone}'")
         if self.num_layers < 1:
             raise ModelError("num_layers must be >= 1")
+        if not isinstance(self.heads, (tuple, list)) or not all(
+                isinstance(h, (int, np.integer)) and not isinstance(h, bool)
+                and h >= 1 for h in self.heads):
+            raise ModelError(
+                f"heads must be positive integers, got {self.heads!r}")
         if self.backbone == "gat" and len(self.heads) != self.num_layers:
             raise ModelError(
                 f"{self.num_layers} layers need {self.num_layers} head "
@@ -123,9 +128,10 @@ class AttentionSnapshot:
     """Normalized middle-layer coefficients as one 1-D Tensor.
 
     ``edge_dst[e]`` is the aggregating node of coefficient e. A layer
-    with several heads lays them end to end, one copy of the edge list
-    each, so ``edge_dst`` repeats once per head; each (head, node) group
-    sums to 1.
+    with several heads lays them out head-major, one run of the edge
+    list per head (the transpose of the layer's edge-major (E, H)
+    coefficients), so ``edge_dst`` repeats once per head; each (head,
+    node) group sums to 1.
     """
 
     coeffs: Tensor

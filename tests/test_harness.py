@@ -11,10 +11,12 @@ from gnncl.harness.runner import (
     ABLATION_PRESET,
     SBM_DEFAULTS,
     resolve_sweep,
+    resolved_dict,
     run_config_from_dict,
     run_sequence,
     sweep_and_report,
 )
+from gnncl.nn import ModelConfig, ModelError
 
 TOY = {
     "dataset": {"kind": "sbm", "num_classes": 4, "classes_per_task": 2,
@@ -61,6 +63,39 @@ class TestRunConfig:
         raw["model"] = {"backbone": "gat", "hidden_dim": 8,
                         "heads": [2, 1]}
         assert run_config_from_dict(raw).model.heads == (2, 1)
+
+    def test_head_counts_must_be_positive_ints(self):
+        for bad in ([4.0, 1], [True, 1], [0, 1], [2, -1], ["4", 1], 4):
+            raw = toy_cfg()
+            raw["model"] = {"backbone": "gat", "hidden_dim": 8,
+                            "heads": bad}
+            with pytest.raises(ConfigError):
+                run_config_from_dict(raw)
+        with pytest.raises(ModelError):
+            ModelConfig(backbone="gat", heads=(2.0, 1))
+
+    def test_fields_of_another_backbone_rejected(self):
+        for backbone, fields in (("gcn", {"heads": [8, 8, 8]}),
+                                 ("gin", {"attention_slope": 0.1}),
+                                 ("gat", {"gin_eps": 0.5}),
+                                 ("gcn", {"gin_eps_learnable": True})):
+            raw = toy_cfg()
+            raw["model"] = dict(fields, backbone=backbone)
+            with pytest.raises(ConfigError, match="backbone only"):
+                run_config_from_dict(raw)
+        # each backbone takes its own fields; its resolved config names
+        # no field of another backbone and loads back as the same config
+        for backbone, fields in (("gat", {"heads": [2, 1],
+                                          "attention_slope": 0.1}),
+                                 ("gin", {"gin_eps": 0.5,
+                                          "gin_eps_learnable": True}),
+                                 ("gcn", {})):
+            raw = toy_cfg()
+            raw["model"] = dict(fields, backbone=backbone)
+            cfg = run_config_from_dict(raw)
+            resolved = resolved_dict(cfg)
+            assert set(fields) <= set(resolved["model"])
+            assert run_config_from_dict(resolved) == cfg
 
     def test_dataset_defaults_fill_in(self):
         cfg = run_config_from_dict({"dataset": {"kind": "sbm"}})

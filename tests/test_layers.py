@@ -15,14 +15,8 @@ from gnncl.engine import (
     abs_,
     add,
     backward,
-    gather_rows,
-    leaky_relu,
-    matmul,
     mul,
     place_cols,
-    reshape,
-    scatter_sum,
-    segment_softmax,
     sq_l2_norm,
     sum_,
     take_cols,
@@ -311,42 +305,32 @@ def test_context_plans_validate_once(backbone, rng, monkeypatch):
 # stacked GAT heads against a per-head reference ------------------------
 
 def per_head_gat(layer, h, ctx):
-    """``layer``'s forward run one head at a time, as separate chains of
-    ops over the plain edge lists: head i has leaves holding copies of
-    ``W[i]`` and ``a[i]``, a concatenated output places each head's block
-    with ``place_cols`` and adds the blocks, and a mean adds the heads
-    in order and scales. Returns (out, alphas, Ws, As)."""
-    n = ctx.adj.num_nodes
-    src, dst = ctx.adj_src_plan, ctx.adj_dst_plan
-    e = len(src)
+    """``layer``'s forward run one head at a time: head i is a one-head
+    ``GatLayer`` with the identity activation whose leaves hold copies
+    of ``W[i:i+1]`` and ``a[i:i+1]``. A concatenated output places each
+    head's block with ``place_cols`` and adds the blocks, and a mean
+    adds the heads in order and scales. Returns (out, alphas, Ws, As)."""
     heads, d = layer.num_heads, layer.d_head
-    Ws = [Tensor(layer.W.data[i].copy(), requires_grad=True)
-          for i in range(heads)]
-    As = [Tensor(layer.a.data[i].copy(), requires_grad=True)
-          for i in range(heads)]
+    singles = []
+    for i in range(heads):
+        single = GatLayer(layer.W.shape[1], d, 1, "identity",
+                          np.random.default_rng(0), slope=layer.slope)
+        single.W = Tensor(layer.W.data[i:i + 1].copy(), requires_grad=True)
+        single.a = Tensor(layer.a.data[i:i + 1].copy(), requires_grad=True)
+        singles.append(single)
     merged = None
     alphas = []
-    for i in range(heads):
-        hw = matmul(h, Ws[i])
-        a_dst = gather_rows(As[i], np.arange(d))
-        a_src = gather_rows(As[i], np.arange(d, 2 * d))
-        s_dst = matmul(hw, a_dst)
-        s_src = matmul(hw, a_src)
-        logits = leaky_relu(
-            reshape(add(gather_rows(s_dst, dst), gather_rows(s_src, src)),
-                    (e,)),
-            alpha=layer.slope)
-        alpha = segment_softmax(logits, dst, n)
+    for i, single in enumerate(singles):
+        out, alpha = single.forward_with_attention(h, ctx)
         alphas.append(alpha)
-        out = scatter_sum(mul(reshape(alpha, (e, 1)), gather_rows(hw, src)),
-                          dst, n)
         if layer.merge == "concat" and heads > 1:
             out = place_cols(out, np.arange(i * d, (i + 1) * d),
                              layer.d_out)
         merged = out if merged is None else add(merged, out)
     if layer.merge == "mean" and heads > 1:
         merged = mul(merged, Tensor(1.0 / heads))
-    return layer.act(merged), alphas, Ws, As
+    return (layer.act(merged), alphas, [s.W for s in singles],
+            [s.a for s in singles])
 
 
 def gat_objectives(out, coeffs, weights):
@@ -400,9 +384,9 @@ def test_stacked_gat_matches_per_head_reference(n, heads, d_in, d_head,
     assert np.array_equal(coeffs.data,
                           np.concatenate([a.data for a in alphas]))
     assert np.array_equal(grads[layer.W].data,
-                          np.stack([ref_grads[w].data for w in Ws]))
+                          np.concatenate([ref_grads[w].data for w in Ws]))
     assert np.array_equal(grads[layer.a].data,
-                          np.stack([ref_grads[a].data for a in As]))
+                          np.concatenate([ref_grads[a].data for a in As]))
 
     with Tape(TapeMode.HIGHER_ORDER):
         out, coeffs = layer.forward_with_attention(h, ctx)
@@ -414,9 +398,10 @@ def test_stacked_gat_matches_per_head_reference(n, heads, d_in, d_head,
                               Ws + As)
         ref_cap_grads = backward(ref_cap, Ws + As)
     assert np.array_equal(cap_grads[layer.W].data,
-                          np.stack([ref_cap_grads[w].data for w in Ws]))
+                          np.concatenate([ref_cap_grads[w].data for w in Ws]))
     assert np.array_equal(cap_grads[layer.a].data,
-                          np.stack([ref_cap_grads[a].data for a in As]))
+                          np.concatenate([ref_cap_grads[a].data
+                                          for a in As]))
 
 
 def test_gat_tape_size_does_not_grow_with_heads(rng):

@@ -20,6 +20,7 @@ from gnncl.engine import (
     binary_cross_entropy,
     cross_entropy,
     div,
+    edge_dot,
     exp,
     gather_rows,
     l1_norm,
@@ -30,6 +31,7 @@ from gnncl.engine import (
     mul,
     place_cols,
     relu,
+    reshape,
     scatter_sum,
     segment_softmax,
     sigmoid,
@@ -184,9 +186,10 @@ def test_column_validation():
 def test_segment_softmax_validation():
     with Tape():
         with pytest.raises(ShapeError):
-            segment_softmax(Tensor([[1.0]]), np.array([0]), 1)
+            segment_softmax(Tensor([[[1.0]]]), np.array([0]), 1)
         with pytest.raises(ShapeError):
-            segment_softmax(Tensor([[1.0]]), SegmentPlan(np.array([0]), 1), 1)
+            segment_softmax(Tensor([[[1.0]]]),
+                            SegmentPlan(np.array([0]), 1), 1)
         with pytest.raises(SegmentError):
             segment_softmax(Tensor([1.0, 2.0]), np.array([0, 3]), 2)
         with pytest.raises(SegmentError):
@@ -230,33 +233,6 @@ def test_segment_plan_layout():
     ids[0] = 5
     assert plan.ids.tolist() == [0, 1]
     assert not plan.ids.flags.writeable
-
-
-@given(st.lists(st.integers(0, 4), min_size=1, max_size=12),
-       st.integers(1, 4), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_plan_copies_match_a_validated_plan(ids, count, rows):
-    # copy c of the range [0, bound) is [c*bound, (c+1)*bound); the
-    # copied plan equals one built and scanned from the shifted ids,
-    # and is kept on the plan it was copied from
-    ids = np.sort(np.asarray(ids)) if not rows else np.asarray(ids)
-    bound = int(ids.max()) + 1
-    plan = (SegmentPlan.rows(ids, bound) if rows
-            else SegmentPlan(ids, bound))
-    shifted = np.concatenate([ids + c * bound for c in range(count)])
-    want = (SegmentPlan.rows(shifted, count * bound) if rows
-            else SegmentPlan(shifted, count * bound))
-    got = plan.copies(count)
-    assert got.bound == want.bound
-    assert np.array_equal(got.ids, want.ids)
-    assert not got.ids.flags.writeable
-    if want.starts is None:
-        assert got.starts is None
-    else:
-        assert np.array_equal(got.starts, want.starts)
-    assert np.array_equal(got.flat(3), want.flat(3))
-    assert plan.copies(count) is got
-    assert plan.copies(1) is plan
 
 
 def test_log_softmax_large_logits_stable():
@@ -517,3 +493,175 @@ def test_segment_max_matches_maximum_at(sort, data):
             planned = segment_softmax(Tensor(values), plan, n).data
             raw = segment_softmax(Tensor(values), ids, n).data
         assert np.array_equal(planned, raw)
+
+
+@given(st.booleans(), st.booleans(), st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_segment_softmax_columns_match_1d_calls(sort, planned, heads, data):
+    # an (E, H) call is H 1-D calls on its columns, values and
+    # first-order gradients alike, with the max by reduceat (sorted
+    # plan) or by maximum.at (raw ids, unsorted plan)
+    n = data.draw(st.integers(1, 5))
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    ids = np.concatenate([np.arange(n), np.asarray(extra, np.int64)])
+    ids = (np.sort(ids) if sort
+           else ids[np.asarray(data.draw(st.permutations(range(len(ids)))),
+                               np.int64)])
+    seg = SegmentPlan(ids, n) if planned else ids
+    values = data.draw(hnp.arrays(np.float64, (len(ids), heads),
+                                  elements=_finite))
+    up = data.draw(hnp.arrays(np.float64, (len(ids), heads),
+                              elements=_finite))
+    x = Tensor(values, requires_grad=True)
+    with Tape():
+        out = segment_softmax(x, seg, n)
+        grad = backward(sum_(mul(out, Tensor(up))), [x])[x]
+    for h in range(heads):
+        col = Tensor(values[:, h].copy(), requires_grad=True)
+        with Tape():
+            want = segment_softmax(col, seg, n)
+            want_grad = backward(sum_(mul(want, Tensor(up[:, h].copy()))),
+                                 [col])[col]
+        assert _same(out.data[:, h], want.data)
+        assert _same(grad.data[:, h], want_grad.data)
+
+
+# fused edge kernels against the chains of ops they replace ---------------
+
+_signed = st.one_of(st.just(0.0), st.just(-0.0), _finite)
+
+
+def _same(a, b):
+    """Equal values with equal signs of zero."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def _edge_lists(draw):
+    """(rows, ids, num_rows, num_segments): unsorted row indices into
+    ``num_rows`` rows and segment ids, sorted or not, that may leave
+    segments empty; zero edges allowed."""
+    num_rows = draw(st.integers(1, 5))
+    num_segments = draw(st.integers(1, 5))
+    e = draw(st.integers(0, 12))
+    rows = draw(hnp.arrays(np.int64, e,
+                           elements=st.integers(0, num_rows - 1)))
+    ids = draw(hnp.arrays(np.int64, e,
+                          elements=st.integers(0, num_segments - 1)))
+    if draw(st.booleans()):
+        ids = np.sort(ids)
+    return rows, ids, num_rows, num_segments
+
+
+# last widths below 8 and at or above 8, where numpy sums pairwise
+_widths = st.sampled_from([1, 3, 7, 8, 9, 16, 19])
+
+
+@given(_edge_lists(), st.sampled_from(["none", "row", "head"]), _widths,
+       st.integers(1, 3), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
+                                                  heads, planned, data):
+    # out[v] = sum of w[e] * x[src[e]] over idx[e] == v: no weights,
+    # one weight per edge on (n, d) rows, or one per edge and head on
+    # (n, H, d) rows; values and first-order VJPs bit for bit
+    rows, ids, n, m = edges
+    e = len(rows)
+    tail = (heads, d) if weighting == "head" else (d,)
+
+    def draw(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=_signed))
+
+    x = Tensor(draw((n,) + tail), requires_grad=True)
+    params = [x]
+    w = None
+    if weighting != "none":
+        w = Tensor(draw((e,) + tail[:-1]), requires_grad=True)
+        params.append(w)
+    up = Tensor(draw((m,) + tail))
+    src, idx = ((SegmentPlan.rows(rows, n), SegmentPlan(ids, m))
+                if planned else (rows, ids))
+    with Tape():
+        out = scatter_sum(x, idx, m, src=src, weights=w)
+        grads = backward(sum_(mul(out, up)), params)
+    with Tape():
+        msgs = gather_rows(x, src)
+        if w is not None:
+            msgs = mul(msgs, reshape(w, w.shape + (1,)))
+        want = scatter_sum(msgs, idx, m)
+        want_grads = backward(sum_(mul(want, up)), params)
+    assert _same(out.data, want.data)
+    assert _same(grads[x].data, want_grads[x].data)
+    if w is not None:
+        # a sum starts from +0.0, and the chain's sum_to leaves a last
+        # axis of width 1 unsummed, so there a lone -0.0 keeps its sign
+        same = _same if d > 1 else np.array_equal
+        assert same(grads[w].data, want_grads[w].data)
+
+
+@given(_edge_lists(), st.booleans(), _widths, st.integers(1, 3),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, planned,
+                                         data):
+    # out[e] = sum over the last axis of a[ia[e]] * b[ib[e]], for
+    # (n, d) and (n, H, d) rows; values and first-order VJPs bit for bit;
+    # one plan may serve both ends
+    rows, ids, na, nb = edges
+    shared = planned and data.draw(st.booleans())
+    if shared:
+        ids, nb = rows, na
+    tail = (heads, d) if per_head else (d,)
+
+    def draw(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=_signed))
+
+    a = Tensor(draw((na,) + tail), requires_grad=True)
+    b = Tensor(draw((nb,) + tail), requires_grad=True)
+    up = Tensor(draw((len(rows),) + tail[:-1]))
+    ia, ib = ((SegmentPlan.rows(rows, na), SegmentPlan(ids, nb))
+              if planned else (rows, ids))
+    if shared:
+        ib = ia
+    with Tape():
+        out = edge_dot(a, b, ia, ib)
+        grads = backward(sum_(mul(out, up)), [a, b])
+    with Tape():
+        want = sum_axis(mul(gather_rows(a, ia), gather_rows(b, ib)), -1)
+        want_grads = backward(sum_(mul(want, up)), [a, b])
+    assert _same(out.data, want.data)
+    for p in (a, b):
+        assert _same(grads[p].data, want_grads[p].data)
+
+
+def test_fused_edge_kernel_validation():
+    x = Tensor(np.ones((3, 2, 4)))
+    src, dst = np.array([0, 2, 1]), np.array([1, 1, 0])
+    with Tape():
+        # weights scale gathered rows: src is required, and the weights
+        # are (E,) for (n, d) rows or (E, H) for (n, H, d) rows
+        with pytest.raises(ShapeError):
+            scatter_sum(x, dst, 2, weights=np.ones((3, 2)))
+        for bad in (np.ones(3), np.ones((3, 4)), np.ones((2, 2))):
+            with pytest.raises(ShapeError):
+                scatter_sum(x, dst, 2, src=src, weights=bad)
+        with pytest.raises(ShapeError):
+            scatter_sum(Tensor(np.ones(3)), dst, 2, src=src,
+                        weights=np.ones(3))
+        # src is checked as rows of x, idx as segments, one per src
+        with pytest.raises(ShapeError):
+            scatter_sum(x, dst, 2, src=np.array([0, 3, 1]))
+        with pytest.raises(ShapeError):
+            scatter_sum(x, dst[:2], 2, src=src)
+        with pytest.raises(SegmentError):
+            scatter_sum(x, np.array([0, 2, 1]), 2, src=src)
+        # edge_dot: rows of one shape, endpoints of one length, in range
+        with pytest.raises(ShapeError):
+            edge_dot(x, Tensor(np.ones((3, 2, 3))), src, dst)
+        with pytest.raises(ShapeError):
+            edge_dot(Tensor(np.ones(3)), Tensor(np.ones(3)), src, dst)
+        with pytest.raises(ShapeError):
+            edge_dot(x, x, src, dst[:2])
+        with pytest.raises(ShapeError):
+            edge_dot(x, x, src, np.array([0, 3, 1]))

@@ -6,13 +6,10 @@ from .importance import (
     capacity_regularizer,
     combine_importance,
     compute_importance,
-    compute_loss_importance,
-    compute_topo_importance,
     load_records,
     save_records,
     snapshot_topo,
     task_loss_from_logits,
-    topo_scalar,
     twp_penalty,
 )
 from .strategies import (
@@ -30,8 +27,7 @@ __all__ = [
     "ConfigError", "EpisodicMemory", "FrozenTeacher", "ImportanceRecord",
     "PGD_ITERATIONS", "STRATEGY_KINDS", "Strategy", "StrategyConfig",
     "TaskView", "capacity_regularizer", "combine_importance",
-    "compute_importance", "compute_loss_importance",
-    "compute_topo_importance", "gem_project", "load_records",
+    "compute_importance", "gem_project", "load_records",
     "make_strategy", "save_records", "snapshot_topo",
-    "task_loss_from_logits", "topo_scalar", "twp_penalty",
+    "task_loss_from_logits", "twp_penalty",
 ]

@@ -89,25 +89,15 @@ def task_loss_from_logits(logits: Tensor, ctx: ForwardContext,
     return binary_cross_entropy(reshape(logits, (logits.shape[0],)), labels)
 
 
-def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
-                            local_labels: Optional[np.ndarray]) -> ArraySet:
-    """|gradient| of the full-batch training loss, per parameter."""
-    params = model.parameters()
-    with Tape():
-        logits, _ = model_forward(model, ctx, task)
-        loss = task_loss_from_logits(logits, ctx, local_labels,
-                                     task.train_mask)
-        grads = backward(loss, params)
-    return _abs_grads(model, grads)
-
-
 def compute_importance(model: GnnModel, ctx: ForwardContext, task,
                        local_labels: Optional[np.ndarray]
                        ) -> Tuple[ArraySet, ArraySet]:
     """Both importance maps, |dloss/dp| and |dtopo/dp|, from one forward
-    with attention: the two backward sweeps share its tape. Each equals
-    :func:`compute_loss_importance` or :func:`compute_topo_importance`
-    bit for bit."""
+    with attention: the two backward sweeps share its tape. The loss map
+    is |gradient| of the full-batch training loss; the topology map is
+    |gradient| of :func:`snapshot_topo`, whose entries for parameters
+    downstream of the middle layer come out exactly zero (they are on
+    the tape but off its dependency path)."""
     params = model.parameters()
     with Tape():
         logits, snapshot = model_forward(model, ctx, task,
@@ -126,24 +116,6 @@ def snapshot_topo(snapshot: AttentionSnapshot, ctx: ForwardContext,
     into training nodes (all edges for pooled contexts)."""
     mask = task.train_mask if ctx.node_to_graph is None else None
     return snapshot.squared_norm(mask)
-
-
-def topo_scalar(model: GnnModel, ctx: ForwardContext, task) -> Tensor:
-    """The topology scalar of :func:`snapshot_topo` on a fresh forward."""
-    _, snapshot = model_forward(model, ctx, task, want_attention=True)
-    return snapshot_topo(snapshot, ctx, task)
-
-
-def compute_topo_importance(model: GnnModel, ctx: ForwardContext,
-                            task) -> ArraySet:
-    """|gradient| of the topology scalar; parameters downstream of the
-    middle layer are on the tape but off its dependency path, so their
-    entries come out exactly zero."""
-    params = model.parameters()
-    with Tape():
-        t = topo_scalar(model, ctx, task)
-        grads = backward(t, params)
-    return _abs_grads(model, grads)
 
 
 def combine_importance(model: GnnModel, i_loss: ArraySet, i_ts: ArraySet,

@@ -795,6 +795,10 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     With ``create_graph=True`` (HIGHER_ORDER tapes only) the backward
     computation is recorded, so returned gradients can be differentiated
     again.
+
+    The sweep frees each node's adjoint once its VJP has consumed it and
+    keeps only the adjoints of the targets, so it holds the adjoints of
+    its frontier rather than of the whole tape.
     """
     if loss.shape != ():
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
@@ -813,11 +817,12 @@ def backward(loss: Tensor, params: Sequence[Tensor],
         targets[id(p)] = nid
 
     adjoint: Dict[int, Tensor] = {loss._node_id: Tensor(np.ones(()))}
-    stop = min(targets.values(), default=loss._node_id)
+    keep = set(targets.values())
+    stop = min(keep, default=loss._node_id)
 
     def sweep():
         for nid in range(loss._node_id, stop - 1, -1):
-            g = adjoint.get(nid)
+            g = adjoint.get(nid) if nid in keep else adjoint.pop(nid, None)
             if g is None:
                 continue
             node = tape.nodes[nid]

@@ -32,14 +32,44 @@ def _split_mask(nodes: np.ndarray, num_nodes: int, train_fraction: float,
     return train, test
 
 
-def _upper_pairs(hit: np.ndarray) -> np.ndarray:
-    """The (i, j) pairs with i < j where the square mask ``hit`` is set,
-    in row-major order: the edges of an undirected draw."""
-    # np.nonzero on a 2-D mask is several times slower than on its flat
-    # view
-    src, dst = np.divmod(np.flatnonzero(hit), hit.shape[1])
-    upper = src < dst
-    return np.stack([src[upper], dst[upper]], axis=1)
+# uniform draws per row block of an edge draw: a generator holds one
+# block (8 MB of float64) at a time, whatever the node count
+DRAW_BLOCK = 2 ** 20
+
+
+def _draw_upper_pairs(rng: np.random.Generator, n: int, p: float,
+                      class_size: int = 0, p_in: float = 0.0
+                      ) -> np.ndarray:
+    """The edges of an undirected draw: the (i, j) pairs with i < j
+    whose entry of an (n, n) uniform draw from ``rng`` is below ``p``,
+    in row-major order.
+
+    With ``class_size`` > 0 the nodes form contiguous classes of that
+    size, and pairs within a class compare against ``p_in`` instead.
+    The draw is made in row blocks of about ``DRAW_BLOCK`` entries, each
+    into the same buffer; the stream, and so every edge, is the same as
+    one (n, n) draw.
+    """
+    rows = max(1, min(n, DRAW_BLOCK // max(n, 1)))
+    buf = np.empty((rows, n))
+    parts = [np.zeros((0, 2), dtype=np.int64)]
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        draw = rng.random(out=buf[:r1 - r0])
+        hit = draw < p
+        if class_size:
+            for c0 in range(r0 - r0 % class_size, r1, class_size):
+                c1 = c0 + class_size
+                block = (slice(max(c0, r0) - r0, min(c1, r1) - r0),
+                         slice(c0, c1))
+                hit[block] = draw[block] < p_in
+        # np.nonzero on a 2-D mask is several times slower than on its
+        # flat view
+        src, dst = np.divmod(np.flatnonzero(hit), n)
+        src += r0
+        upper = src < dst
+        parts.append(np.stack([src[upper], dst[upper]], axis=1))
+    return np.concatenate(parts)
 
 
 def generate_sbm_tasks(num_classes: int, classes_per_task: int,
@@ -67,12 +97,8 @@ def generate_sbm_tasks(num_classes: int, classes_per_task: int,
     n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes), nodes_per_class)
 
-    draw = np.random.default_rng([seed, 0]).random((n, n))
-    hit = draw < p_out
-    for c in range(num_classes):
-        block = slice(c * nodes_per_class, (c + 1) * nodes_per_class)
-        hit[block, block] = draw[block, block] < p_in
-    edges = _upper_pairs(hit)
+    edges = _draw_upper_pairs(np.random.default_rng([seed, 0]), n, p_out,
+                              nodes_per_class, p_in)
 
     feat_rng = np.random.default_rng([seed, 1])
     protos = feat_rng.normal(size=(num_classes, feature_dim))
@@ -126,7 +152,7 @@ def rule_statistic(graph: Graph, kind: str) -> float:
 def _random_graph(rng: np.random.Generator, num_nodes: int,
                   feature_dim: int) -> Graph:
     p = rng.uniform(0.15, 0.5)
-    edges = _upper_pairs(rng.random((num_nodes, num_nodes)) < p)
+    edges = _draw_upper_pairs(rng, num_nodes, p)
     # constant first channel plus noise: degree information then flows
     # through sum aggregation
     features = rng.normal(scale=0.1, size=(num_nodes, feature_dim))

@@ -107,16 +107,34 @@ def _dataclass_from(name: str, cls, raw: Mapping[str, Any]):
 # model fields that only one backbone reads
 BACKBONE_FIELDS = {"gat": ("heads", "attention_slope"),
                    "gin": ("gin_eps", "gin_eps_learnable")}
+# strategy fields that only some kinds read; every kind reads epochs,
+# lr and early_stop_patience
+STRATEGY_FIELDS = {"TWP": ("lambda_l", "lambda_t", "beta"),
+                   "EWC": ("lambda_reg",), "MAS": ("lambda_reg",),
+                   "LWF": ("distill_temperature",),
+                   "GEM": ("memory_per_task",)}
 
 
-def _check_backbone_fields(raw: Mapping[str, Any], backbone: str) -> None:
-    """Reject a field given for a backbone that would ignore it."""
-    for owner, names in BACKBONE_FIELDS.items():
-        stray = [name for name in names if name in raw]
-        if stray and backbone != owner:
-            raise ConfigError(
-                f"model field(s) {', '.join(stray)} apply to the '{owner}' "
-                f"backbone only, not '{backbone}'")
+def _unread(names, choice: str, table: Mapping[str, Sequence[str]]
+            ) -> List[str]:
+    """The ``names`` that ``table`` gives to other choices only."""
+    owned = {name for fields in table.values() for name in fields}
+    mine = table.get(choice, ())
+    return sorted(name for name in names
+                  if name in owned and name not in mine)
+
+
+def _check_unread(section: str, raw: Mapping[str, Any], choice: str,
+                  table: Mapping[str, Sequence[str]], noun: str) -> None:
+    """Reject a field given for a backbone or strategy kind that would
+    ignore it."""
+    stray = _unread(raw, choice, table)
+    if stray:
+        owners = [repr(owner) for owner, fields in table.items()
+                  if set(stray) & set(fields)]
+        raise ConfigError(
+            f"{section} field(s) {', '.join(stray)} apply to the "
+            f"{', '.join(owners)} {noun} only, not '{choice}'")
 
 
 def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
@@ -127,9 +145,12 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
             f"unknown run config field(s): {', '.join(sorted(unknown))}")
     dataset = resolve_dataset(raw.get("dataset", {}))
     model = _dataclass_from("model", ModelConfig, raw.get("model", {}))
-    _check_backbone_fields(raw.get("model", {}), model.backbone)
+    _check_unread("model", raw.get("model", {}), model.backbone,
+                  BACKBONE_FIELDS, "backbone")
     strategy = _dataclass_from(
         "strategy", StrategyConfig, raw.get("strategy", {}))
+    _check_unread("strategy", raw.get("strategy", {}), strategy.kind,
+                  STRATEGY_FIELDS, "strategy")
     metric = raw.get(
         "metric", "auc" if dataset["kind"] == "graphs" else "accuracy")
     if metric not in METRICS:
@@ -147,18 +168,20 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
 def resolved_dict(cfg: RunConfig) -> Dict[str, Any]:
     """JSON-ready echo of a config with every default materialized.
 
-    The model section leaves out the fields of other backbones, which
-    the run does not read, so the echo loads back as the same config.
+    The model and strategy sections leave out the fields of other
+    backbones and strategy kinds, which the run does not read, so the
+    echo loads back as the same config.
     """
     model = dataclasses.asdict(cfg.model)
-    for owner, names in BACKBONE_FIELDS.items():
-        if owner != cfg.model.backbone:
-            for name in names:
-                del model[name]
+    for name in _unread(model, cfg.model.backbone, BACKBONE_FIELDS):
+        del model[name]
+    strategy = dataclasses.asdict(cfg.strategy)
+    for name in _unread(strategy, cfg.strategy.kind, STRATEGY_FIELDS):
+        del strategy[name]
     return {
         "dataset": dict(cfg.dataset),
         "model": model,
-        "strategy": dataclasses.asdict(cfg.strategy),
+        "strategy": strategy,
         "metric": cfg.metric,
         "seed": cfg.seed,
         "out_dir": cfg.out_dir,

@@ -16,10 +16,7 @@ from gnncl.continual.gem import gem_project
 from gnncl.continual.importance import (
     capacity_regularizer,
     combine_importance,
-    compute_loss_importance,
-    compute_topo_importance,
     snapshot_topo,
-    topo_scalar,
     twp_penalty,
 )
 from gnncl.continual.strategies import (
@@ -40,6 +37,11 @@ from gnncl.harness.runner import (
 from gnncl.nn.model import ModelConfig
 
 from conftest import central_diff
+from importance_oracles import (
+    compute_loss_importance,
+    compute_topo_importance,
+    topo_scalar,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 BACKBONES = ("gcn", "gat", "gin")

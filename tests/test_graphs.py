@@ -1,6 +1,7 @@
 """Graph structures, normalization, generators, and dataset files."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,8 @@ def dense_upper_edges(draw, prob):
     (3, 2, 13, 1.0, 0.2),
     (11, 3, 1, 1.0, 0.0),
     (5, 4, 25, 0.3, 0.29),
+    # several row blocks of the draw, with class blocks across their edges
+    (2, 3, 700, 0.02, 0.004),
 ])
 def test_sbm_edges_match_dense_oracle(seed, num_classes, per_class, p_in,
                                       p_out):
@@ -324,6 +327,17 @@ def test_sbm_edges_match_dense_oracle(seed, num_classes, per_class, p_in,
     g = generate_sbm_tasks(num_classes, num_classes, per_class, p_in, p_out,
                            4, 0.1, seed=seed).graph
     assert_same_arrays((g.row_ptr, g.col_idx), want)
+
+
+def test_sbm_draw_memory_is_bounded():
+    # the 3,840-node benchmark graph: a whole (n, n) draw would be 118 MB
+    tracemalloc.start()
+    try:
+        generate_sbm_tasks(6, 2, 640, 0.0184375, 0.0021875, 8, 1.3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed,num_nodes", [(0, 3), (1, 8), (7919, 16),

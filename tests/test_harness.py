@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnncl.continual.strategies import ConfigError, TwpStrategy
+from gnncl.continual.strategies import (
+    STRATEGY_KINDS,
+    ConfigError,
+    StrategyConfig,
+    TwpStrategy,
+)
 from gnncl.harness.runner import (
     ABLATION_PRESET,
     SBM_DEFAULTS,
@@ -95,6 +100,38 @@ class TestRunConfig:
             cfg = run_config_from_dict(raw)
             resolved = resolved_dict(cfg)
             assert set(fields) <= set(resolved["model"])
+            assert run_config_from_dict(resolved) == cfg
+
+    def test_fields_of_another_strategy_rejected(self):
+        for fields in ({"kind": "EWC", "beta": 0.5, "memory_per_task": 99},
+                       {"kind": "FINETUNE", "lambda_reg": 1.0},
+                       {"kind": "JOINT", "distill_temperature": 3.0},
+                       {"kind": "TWP", "lambda_reg": 1.0},
+                       {"kind": "GEM", "lambda_t": 0.0},
+                       {"kind": "LWF", "memory_per_task": 5},
+                       {"kind": "MAS", "lambda_l": 1.0}):
+            raw = toy_cfg()
+            raw["strategy"] = fields
+            with pytest.raises(ConfigError, match="strategy only"):
+                run_config_from_dict(raw)
+        # a config built directly keeps every field
+        assert StrategyConfig(kind="EWC", beta=0.5).beta == 0.5
+
+    def test_resolved_config_round_trips_for_every_kind(self):
+        own = {"FINETUNE": {}, "JOINT": {},
+               "TWP": {"lambda_l": 5.0, "lambda_t": 2.0, "beta": 0.01},
+               "EWC": {"lambda_reg": 7.0}, "MAS": {"lambda_reg": 3.0},
+               "LWF": {"distill_temperature": 4.0},
+               "GEM": {"memory_per_task": 3}}
+        assert set(own) == set(STRATEGY_KINDS)
+        shared = {"epochs", "lr", "early_stop_patience"}
+        for kind, fields in own.items():
+            raw = toy_cfg()
+            raw["strategy"] = dict(fields, kind=kind, epochs=3)
+            cfg = run_config_from_dict(raw)
+            resolved = resolved_dict(cfg)
+            assert set(resolved["strategy"]) == (
+                {"kind"} | shared | set(fields))
             assert run_config_from_dict(resolved) == cfg
 
     def test_dataset_defaults_fill_in(self):

@@ -12,17 +12,19 @@ from gnncl.continual import (
     capacity_regularizer,
     combine_importance,
     compute_importance,
-    compute_loss_importance,
-    compute_topo_importance,
     load_records,
     save_records,
     snapshot_topo,
     task_loss_from_logits,
-    topo_scalar,
     twp_penalty,
 )
 from gnncl.nn import model_forward
 from conftest import central_diff, max_rel_err
+from importance_oracles import (
+    compute_loss_importance,
+    compute_topo_importance,
+    topo_scalar,
+)
 
 
 def node_setup(backbone="gat", seed=0, n=8, d=3):

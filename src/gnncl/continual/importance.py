@@ -26,6 +26,7 @@ from ..engine import (
     backward,
     binary_cross_entropy,
     cross_entropy,
+    flat_concat,
     gather_rows,
     mul,
     reshape,
@@ -62,6 +63,9 @@ class ImportanceRecord:
         for name, imp in self.importance.items():
             if imp.shape != self.snapshot[name].shape:
                 raise ModelError(f"shape mismatch for '{name}'")
+            if not (np.isfinite(imp).all()
+                    and np.isfinite(self.snapshot[name]).all()):
+                raise ModelError(f"non-finite record values for '{name}'")
             if np.any(imp < 0):
                 raise ModelError(f"negative importance for '{name}'")
 
@@ -134,9 +138,15 @@ def combine_importance(model: GnnModel, i_loss: ArraySet, i_ts: ArraySet,
 
 def twp_penalty(model: GnnModel,
                 records: Sequence[ImportanceRecord]) -> Tensor:
-    """Sum over records of importance-weighted squared drift from the
-    record's snapshot. Zero (a constant) with no records."""
-    total: Optional[Tensor] = None
+    """``sum_k sum_m I_m^k (theta_m - S_m^k)^2``: every record's
+    importance-weighted squared drift from its snapshot, as one flat
+    expression. ``theta`` is one :func:`flat_concat` of the parameters;
+    the records' importances ``I`` and snapshots ``S`` stack into (R, P)
+    arrays in ``named_parameters()`` order, so the expression records
+    the same nodes for any number of records. Zero (a constant) with no
+    records."""
+    if not records:
+        return Tensor(np.asarray(0.0))
     named = model.named_parameters()
     for rec in records:
         for name, p in named:
@@ -145,17 +155,21 @@ def twp_penalty(model: GnnModel,
                     f"record for task {rec.task_index} lacks '{name}'")
             if rec.importance[name].shape != p.shape:
                 raise ModelError(f"record shape mismatch for '{name}'")
-            term = sum_(mul(Tensor(rec.importance[name]),
-                            square(sub(p, Tensor(rec.snapshot[name])))))
-            total = term if total is None else add(total, term)
-    return total if total is not None else Tensor(np.asarray(0.0))
+    names = [name for name, _ in named]
+    imp = np.stack([flat_concat([rec.importance[n] for n in names]).data
+                    for rec in records])
+    snap = np.stack([flat_concat([rec.snapshot[n] for n in names]).data
+                     for rec in records])
+    theta = flat_concat([p for _, p in named])
+    return sum_(mul(Tensor(imp), square(sub(theta, Tensor(snap)))))
 
 
 def capacity_regularizer(model: GnnModel, loss: Tensor, topo: Tensor,
                          lambda_l: float, lambda_t: float,
                          beta: float) -> Tensor:
     """``beta * ||lambda_l |dloss/dp| + lambda_t |dtopo/dp|||_1``, the l1
-    capacity term, as a differentiable scalar.
+    capacity term, as a differentiable scalar: each gradient map is one
+    :func:`flat_concat`, and a single sum takes the norm.
 
     ``loss`` (the task loss) and ``topo`` (see :func:`snapshot_topo`)
     are scalars already recorded on the active HIGHER_ORDER tape, so the
@@ -166,12 +180,10 @@ def capacity_regularizer(model: GnnModel, loss: Tensor, topo: Tensor,
     params = model.parameters()
     f = backward(loss, params, create_graph=True)
     g = backward(topo, params, create_graph=True)
-    total: Optional[Tensor] = None
-    for p in params:
-        term = add(mul(Tensor(lambda_l), sum_(abs_(f[p]))),
-                   mul(Tensor(lambda_t), sum_(abs_(g[p]))))
-        total = term if total is None else add(total, term)
-    return mul(Tensor(beta), total)
+    d_loss = flat_concat([f[p] for p in params])
+    d_topo = flat_concat([g[p] for p in params])
+    return mul(Tensor(beta), sum_(add(mul(Tensor(lambda_l), abs_(d_loss)),
+                                      mul(Tensor(lambda_t), abs_(d_topo)))))
 
 
 def save_records(records: Sequence[ImportanceRecord], path: str) -> None:
@@ -201,11 +213,17 @@ def load_records(path: str) -> List[ImportanceRecord]:
             f"unsupported records format {manifest.get('format')!r}")
     arrays = read_blob(os.path.join(path, "records.bin"),
                        manifest["index"])
+
+    def array(key: str) -> np.ndarray:
+        if key not in arrays:
+            raise ModelError(f"records.json has no index entry '{key}'")
+        return arrays[key]
+
     out: List[ImportanceRecord] = []
     for meta in manifest["records"]:
         k = meta["task_index"]
-        snap = {name: arrays[f"{k}.snap.{name}"] for name in meta["params"]}
-        imp = {name: arrays[f"{k}.imp.{name}"] for name in meta["params"]}
+        snap = {name: array(f"{k}.snap.{name}") for name in meta["params"]}
+        imp = {name: array(f"{k}.imp.{name}") for name in meta["params"]}
         out.append(ImportanceRecord(task_index=k, snapshot=snap,
                                     importance=imp))
     return out

@@ -22,6 +22,8 @@ from ..engine import (
     backward,
     binary_cross_entropy,
     div,
+    flat_concat,
+    flat_split,
     gather_rows,
     log_softmax,
     mul,
@@ -75,6 +77,13 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy '{self.kind}'")
+        for name in ("epochs", "memory_per_task", "early_stop_patience"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # numpy ints become ints, so a resolved config writes as JSON
+            object.__setattr__(self, name, int(value))
         for name in ("lambda_l", "lambda_t", "beta", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -400,18 +409,6 @@ class GemStrategy(Strategy):
         super().__init__(cfg, model, view, seed)
         self.memory: List[EpisodicMemory] = []
 
-    def _flatten(self, grads: GradientMap) -> np.ndarray:
-        return np.concatenate([grads[p].data.ravel() for p in self.params])
-
-    def _unflatten(self, flat: np.ndarray) -> GradientMap:
-        out: GradientMap = {}
-        offset = 0
-        for p in self.params:
-            n = p.size
-            out[p] = Tensor(flat[offset:offset + n].reshape(p.shape))
-            offset += n
-        return out
-
     def _memory_grad(self, mem: EpisodicMemory) -> np.ndarray:
         task = self.view.seq.tasks[mem.task_index]
         with Tape():
@@ -419,16 +416,18 @@ class GemStrategy(Strategy):
             loss = task_loss_from_logits(logits, mem.ctx, mem.labels,
                                          mem.rows)
             grads = backward(loss, self.params)
-        return self._flatten(grads)
+        return flat_concat([grads[p] for p in self.params]).data
 
     def transform_grads(self, k: int, grads: GradientMap) -> GradientMap:
         if not self.memory:
             return grads
-        g = self._flatten(grads)
+        g = flat_concat([grads[p] for p in self.params]).data
         mem = np.stack([self._memory_grad(m) for m in self.memory])
         if np.all(mem @ g >= 0.0):
             return grads
-        return self._unflatten(gem_project(g, mem))
+        pieces = flat_split(gem_project(g, mem),
+                            [p.shape for p in self.params])
+        return dict(zip(self.params, pieces))
 
     def after_task(self, k: int) -> None:
         task = self.view.seq.tasks[k]

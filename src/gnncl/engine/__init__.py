@@ -11,6 +11,8 @@ from .ops import (
     edge_dot,
     elu,
     exp,
+    flat_concat,
+    flat_split,
     gather_rows,
     l1_norm,
     leaky_relu,
@@ -75,9 +77,10 @@ __all__ = [
     "ShapeError", "Tape", "TapeMode", "TapeModeError", "Tensor",
     "abs_", "active_tape", "add", "as_tensor", "backward",
     "binary_cross_entropy", "broadcast_to", "cross_entropy", "div",
-    "edge_dot", "elu", "exp", "gather_rows", "l1_norm", "leaky_relu",
-    "log", "log_softmax", "matmul", "mean_", "mul", "neg", "ones", "place_cols", "relu",
-    "reshape", "scatter_sum", "segment_softmax", "sigmoid", "sq_l2_norm",
-    "square", "sub", "sum_", "sum_axis", "sum_to", "take_cols", "tanh",
-    "transpose", "zeros", "zeros_like",
+    "edge_dot", "elu", "exp", "flat_concat", "flat_split", "gather_rows",
+    "l1_norm", "leaky_relu", "log", "log_softmax", "matmul", "mean_", "mul",
+    "neg", "ones", "place_cols", "relu", "reshape", "scatter_sum",
+    "segment_softmax", "sigmoid", "sq_l2_norm", "square", "sub", "sum_",
+    "sum_axis", "sum_to", "take_cols", "tanh", "transpose", "zeros",
+    "zeros_like",
 ]

@@ -13,7 +13,9 @@ invariant, so the detachment changes no derivative of any order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import itertools
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +141,62 @@ def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
         return vjp
 
     return _apply("transpose", x.data.transpose(axes).copy(), (x,), build)
+
+
+def flat_concat(tensors: Sequence) -> Tensor:
+    """One vector holding every input raveled, in input order.
+
+    Inputs may be 0-d, empty or constants. The VJP cuts the cotangent
+    back into each live input's shape with the pieces of
+    :func:`flat_split`, which are recorded ops, so double backward works.
+    """
+    tensors = tuple(as_tensor(t) for t in tensors)
+    shapes = [t.shape for t in tensors]
+    data = np.concatenate([t.data.ravel() for t in tensors]
+                          or [np.zeros(0)])
+
+    def build(out):
+        starts = _offsets(shapes)
+
+        def vjp(g, live):
+            return tuple(_flat_piece(g, lo, shape) if keep else None
+                         for lo, shape, keep in zip(starts, shapes, live))
+        return vjp
+
+    return _apply("flat_concat", data, tensors, build)
+
+
+def flat_split(x: Tensor,
+               shapes: Sequence[Tuple[int, ...]]) -> List[Tensor]:
+    """Cut vector ``x`` into consecutive pieces of the given shapes, the
+    inverse of :func:`flat_concat`. Each piece is one recorded slice;
+    its VJP pads the cotangent with zeros by a :func:`flat_concat`."""
+    x = as_tensor(x)
+    shapes = [tuple(s) for s in shapes]
+    if x.shape != (sum(math.prod(s) for s in shapes),):
+        raise ShapeError(f"cannot split shape {x.shape} into {shapes}")
+    return [_flat_piece(x, lo, s) for lo, s in zip(_offsets(shapes), shapes)]
+
+
+def _offsets(shapes: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Start of each shape's piece in the flat vector."""
+    return list(itertools.accumulate(
+        (math.prod(s) for s in shapes[:-1]), initial=0))
+
+
+def _flat_piece(x: Tensor, lo: int, shape: Tuple[int, ...]) -> Tensor:
+    """The entries of vector ``x`` from ``lo`` on, as one ``shape``."""
+    size = math.prod(shape)
+    rest = x.shape[0] - lo - size
+
+    def build(out):
+        def vjp(g, live):
+            return (flat_concat((Tensor(np.zeros(lo)), g,
+                                 Tensor(np.zeros(rest)))),)
+        return vjp
+
+    return _apply("flat_slice", x.data[lo:lo + size].reshape(shape), (x,),
+                  build)
 
 
 def _swap_last(x: Tensor) -> Tensor:

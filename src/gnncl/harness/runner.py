@@ -95,11 +95,8 @@ def _dataclass_from(name: str, cls, raw: Mapping[str, Any]):
     if unknown:
         raise ConfigError(
             f"unknown {name} field(s): {', '.join(sorted(unknown))}")
-    kwargs = dict(raw)
-    if isinstance(kwargs.get("heads"), list):
-        kwargs["heads"] = tuple(kwargs["heads"])
     try:
-        return cls(**kwargs)
+        return cls(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} config: {exc}") from exc
 

@@ -36,6 +36,8 @@ def write_blob(path: str, arrays: Sequence[Tuple[str, np.ndarray]]
 
 
 def read_blob(path: str, index: Sequence[dict]) -> Dict[str, np.ndarray]:
+    """The arrays an index table names; :class:`ModelError` if the blob
+    ends before one of them does."""
     with open(path, "rb") as f:
         raw = f.read()
     out: Dict[str, np.ndarray] = {}
@@ -43,6 +45,10 @@ def read_blob(path: str, index: Sequence[dict]) -> Dict[str, np.ndarray]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(raw):
+            raise ModelError(
+                f"{os.path.basename(path)} is too short for "
+                f"'{entry['name']}'")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
         out[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return out
@@ -50,13 +56,11 @@ def read_blob(path: str, index: Sequence[dict]) -> Dict[str, np.ndarray]:
 
 def save_checkpoint(model: GnnModel, path: str) -> None:
     os.makedirs(path, exist_ok=True)
-    cfg = asdict(model.config)
-    cfg["heads"] = list(cfg["heads"])
     index = write_blob(os.path.join(path, "params.bin"),
                        model.state_arrays())
     manifest = {
         "format": FORMAT_VERSION,
-        "config": cfg,
+        "config": asdict(model.config),
         "in_dim": model.in_dim,
         "num_classes": model.num_classes,
         "params": index,
@@ -74,9 +78,7 @@ def load_checkpoint(path: str) -> GnnModel:
     if manifest.get("format") != FORMAT_VERSION:
         raise ModelError(
             f"unsupported checkpoint format {manifest.get('format')!r}")
-    cfg = dict(manifest["config"])
-    cfg["heads"] = tuple(cfg["heads"])
-    model = GnnModel(ModelConfig(**cfg), manifest["in_dim"],
+    model = GnnModel(ModelConfig(**manifest["config"]), manifest["in_dim"],
                      manifest["num_classes"], np.random.default_rng(0))
     arrays = read_blob(os.path.join(path, "params.bin"),
                        manifest["params"])

@@ -58,13 +58,20 @@ class ModelConfig:
     def __post_init__(self):
         if self.backbone not in BACKBONES:
             raise ModelError(f"unknown backbone '{self.backbone}'")
-        if self.num_layers < 1:
-            raise ModelError("num_layers must be >= 1")
+        for name in ("num_layers", "hidden_dim"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < 1):
+                raise ModelError(
+                    f"{name} must be a positive integer, got {value!r}")
+            # numpy ints become ints, so a resolved config writes as JSON
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.heads, (tuple, list)) or not all(
                 isinstance(h, (int, np.integer)) and not isinstance(h, bool)
                 and h >= 1 for h in self.heads):
             raise ModelError(
                 f"heads must be positive integers, got {self.heads!r}")
+        object.__setattr__(self, "heads", tuple(int(h) for h in self.heads))
         if self.backbone == "gat" and len(self.heads) != self.num_layers:
             raise ModelError(
                 f"{self.num_layers} layers need {self.num_layers} head "

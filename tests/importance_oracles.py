@@ -1,22 +1,26 @@
-"""Reference importance maps, each from its own forward and backward.
+"""Reference importance maps and the reference anchor penalty.
 
 :func:`gnncl.continual.compute_importance` computes both maps from one
-shared forward; these one-map-per-forward versions are the oracles it
-must equal bit for bit.
+shared forward; the one-map-per-forward versions here are the oracles it
+must equal bit for bit. :func:`twp_penalty_per_parameter` builds the
+penalty term by term, one small expression per parameter and record,
+as the reference for the flat :func:`gnncl.continual.twp_penalty`.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from gnncl.continual.importance import (
     ArraySet,
+    ImportanceRecord,
     _abs_grads,
     snapshot_topo,
     task_loss_from_logits,
 )
-from gnncl.engine import Tape, Tensor, backward
-from gnncl.nn import ForwardContext, GnnModel, model_forward
+from gnncl.engine import (Tape, Tensor, add, backward, mul, square, sub,
+                          sum_)
+from gnncl.nn import ForwardContext, GnnModel, ModelError, model_forward
 
 
 def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
@@ -47,3 +51,22 @@ def compute_topo_importance(model: GnnModel, ctx: ForwardContext,
         t = topo_scalar(model, ctx, task)
         grads = backward(t, params)
     return _abs_grads(model, grads)
+
+
+def twp_penalty_per_parameter(model: GnnModel,
+                              records: Sequence[ImportanceRecord]) -> Tensor:
+    """Sum over records of importance-weighted squared drift from the
+    record's snapshot. Zero (a constant) with no records."""
+    total: Optional[Tensor] = None
+    named = model.named_parameters()
+    for rec in records:
+        for name, p in named:
+            if name not in rec.importance:
+                raise ModelError(
+                    f"record for task {rec.task_index} lacks '{name}'")
+            if rec.importance[name].shape != p.shape:
+                raise ModelError(f"record shape mismatch for '{name}'")
+            term = sum_(mul(Tensor(rec.importance[name]),
+                            square(sub(p, Tensor(rec.snapshot[name])))))
+            total = term if total is None else add(total, term)
+    return total if total is not None else Tensor(np.asarray(0.0))

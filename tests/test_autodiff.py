@@ -24,6 +24,7 @@ from gnncl.engine import (
     edge_dot,
     elu,
     exp,
+    flat_concat,
     gather_rows,
     l1_norm,
     leaky_relu,
@@ -34,6 +35,7 @@ from gnncl.engine import (
     mul,
     place_cols,
     relu,
+    reshape,
     scatter_sum,
     segment_softmax,
     sigmoid,
@@ -366,6 +368,33 @@ def test_second_derivative_through_fused_edge_kernels(rng):
                                    eps=1e-5)
             for p, num in zip(operands, numeric):
                 assert max_rel_err(outer[p].data, num) < 1e-6
+
+
+def test_second_derivative_through_flat_concat(rng):
+    # d/dp of the l1 norm of the flat gradient vector, as in the capacity
+    # term, for a 0-d, a vector and a 3-D operand mixed by one matmul:
+    # the double backward runs the VJPs of flat_concat's VJP (the
+    # slices) and of the slices' VJPs (flat_concat again)
+    operands = [Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((), (3,), (2, 1, 3))]
+    m = Tensor(rng.normal(size=(10, 4)))
+
+    def capacity():
+        flat = flat_concat(operands)
+        loss = sum_(tanh(matmul(reshape(mul(flat, flat), (1, 10)), m)))
+        g = backward(loss, operands, create_graph=True)
+        return l1_norm(flat_concat([g[p] for p in operands]))
+
+    with Tape(TapeMode.HIGHER_ORDER):
+        outer = backward(capacity(), operands)
+
+    def cap_value():
+        with Tape(TapeMode.HIGHER_ORDER):
+            return capacity().item()
+
+    numeric = central_diff(cap_value, [p.data for p in operands], eps=1e-5)
+    for p, num in zip(operands, numeric):
+        assert max_rel_err(outer[p].data, num) < 1e-6
 
 
 def stacked_products(x, w, v, u):

@@ -79,6 +79,37 @@ class TestRunConfig:
         with pytest.raises(ModelError):
             ModelConfig(backbone="gat", heads=(2.0, 1))
 
+    def test_count_fields_must_be_ints(self):
+        # counts reach range(), rng.choice and layer shapes unconverted
+        for section, name in (("strategy", "epochs"),
+                              ("strategy", "memory_per_task"),
+                              ("strategy", "early_stop_patience"),
+                              ("model", "num_layers"),
+                              ("model", "hidden_dim")):
+            for bad in (2.5, 2.0, True, "2", None):
+                raw = toy_cfg()
+                raw[section] = dict(raw.get(section, {}), **{name: bad})
+                if name == "memory_per_task":
+                    raw["strategy"]["kind"] = "GEM"
+                with pytest.raises(ConfigError, match=name):
+                    run_config_from_dict(raw)
+        cfg = run_config_from_dict(toy_cfg(
+            model={"backbone": "gcn", "num_layers": np.int64(2),
+                   "hidden_dim": np.int32(8)},
+            strategy={"kind": "GEM", "epochs": np.int64(2),
+                      "memory_per_task": np.int64(3)}))
+        # stored as ints, so the resolved config writes as JSON
+        for value in (cfg.strategy.epochs, cfg.strategy.memory_per_task,
+                      cfg.model.num_layers, cfg.model.hidden_dim):
+            assert type(value) is int
+        json.dumps(resolved_dict(cfg))
+        gat = ModelConfig(backbone="gat", heads=[np.int64(2), 1])
+        assert gat.heads == (2, 1) and type(gat.heads[0]) is int
+        with pytest.raises(ConfigError):
+            StrategyConfig(epochs=True)
+        with pytest.raises(ModelError):
+            ModelConfig(backbone="gcn", hidden_dim=0)
+
     def test_fields_of_another_backbone_rejected(self):
         for backbone, fields in (("gcn", {"heads": [8, 8, 8]}),
                                  ("gin", {"attention_slope": 0.1}),

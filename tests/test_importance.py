@@ -4,7 +4,7 @@ differentiable capacity term."""
 import numpy as np
 import pytest
 
-from gnncl.engine import Tape, TapeMode, Tensor
+from gnncl.engine import Tape, TapeMode, Tensor, backward
 from gnncl.graphs import TaskSpec, graph_from_edges
 from gnncl.nn import ForwardContext, GnnModel, ModelConfig, ModelError
 from gnncl.continual import (
@@ -24,10 +24,11 @@ from importance_oracles import (
     compute_loss_importance,
     compute_topo_importance,
     topo_scalar,
+    twp_penalty_per_parameter,
 )
 
 
-def node_setup(backbone="gat", seed=0, n=8, d=3):
+def node_setup(backbone="gat", seed=0, n=8, d=3, **model_fields):
     rng = np.random.default_rng(seed)
     mask = np.triu(rng.random((n, n)) < 0.5, k=1)
     src, dst = np.nonzero(mask)
@@ -41,7 +42,7 @@ def node_setup(backbone="gat", seed=0, n=8, d=3):
                     test_mask=~train)
     heads = (2, 1) if backbone == "gat" else (1, 1)
     model = GnnModel(ModelConfig(backbone=backbone, hidden_dim=4,
-                                 heads=heads), d, 2,
+                                 heads=heads, **model_fields), d, 2,
                      np.random.default_rng(seed + 50))
     local = labels.astype(np.int64)
     return model, ctx, task, local
@@ -179,10 +180,60 @@ def test_penalty_accumulates_over_records():
     assert both > 0
 
 
+def drifted_records(backbone, count, **model_fields):
+    """A model and ``count`` records, the parameters moved after each."""
+    model, ctx, task, local = node_setup(backbone, seed=4, **model_fields)
+    recs = []
+    for k in range(count):
+        i_loss, i_ts = compute_importance(model, ctx, task, local)
+        recs.append(combine_importance(model, i_loss, i_ts, 3.0, 0.5, k))
+        for p in model.parameters():
+            p.data += 0.05 * (k + 1)
+    return model, recs
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
+def test_flat_penalty_matches_per_parameter_oracle(backbone):
+    # GIN with a learnable eps has a 0-d parameter
+    fields = {"gin_eps_learnable": True} if backbone == "gin" else {}
+    model, recs = drifted_records(backbone, 3, **fields)
+    params = model.parameters()
+    for some in (recs[:1], recs):
+        with Tape():
+            got = twp_penalty(model, some)
+            grads = backward(got, params)
+        with Tape():
+            want = twp_penalty_per_parameter(model, some)
+            want_grads = backward(want, params)
+        assert got.item() == pytest.approx(want.item(), rel=1e-12, abs=0)
+        for p in params:
+            assert max_rel_err(grads[p].data, want_grads[p].data) < 1e-12
+    # at the last record's snapshot its drift is exactly zero
+    model.load_state(recs[-1].snapshot)
+    with Tape():
+        at_anchor = twp_penalty(model, recs[-1:])
+        grads = backward(at_anchor, params)
+    assert at_anchor.item() == 0.0
+    assert all(not grads[p].data.any() for p in params)
+
+
+def test_penalty_nodes_do_not_grow_with_records():
+    model, recs = drifted_records("gat", 3)
+    sizes = []
+    for some in (recs[:1], recs):
+        with Tape() as tape:
+            twp_penalty(model, some)
+            sizes.append(len(tape))
+    assert sizes[0] == sizes[1]
+
+
 def test_negative_importance_rejected():
-    snapshot = {"w": np.zeros(2)}
-    with pytest.raises(ModelError):
-        ImportanceRecord(0, snapshot, {"w": np.array([0.5, -0.1])})
+    # negative importance; NaN importance, which no comparison catches;
+    # an infinite snapshot
+    for snap, imp in (([0.0, 0.0], [0.5, -0.1]), ([0.0, 0.0], [0.5, np.nan]),
+                      ([np.inf, 0.0], [0.5, 0.1])):
+        with pytest.raises(ModelError):
+            ImportanceRecord(0, {"w": np.array(snap)}, {"w": np.array(imp)})
 
 
 def test_mismatched_record_sets_rejected():
@@ -199,7 +250,6 @@ def test_capacity_zero_when_beta_zero():
 
 def test_capacity_gradient_matches_finite_differences():
     model, ctx, task, local = node_setup("gcn", seed=6)
-    from gnncl.engine import backward
     params = model.parameters()
     with Tape(TapeMode.HIGHER_ORDER):
         cap = capacity(model, ctx, task, local, 1.0, 0.5, 0.1)
@@ -259,4 +309,26 @@ def test_old_records_format_rejected(tmp_path):
     manifest["format"] = 1
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelError):
+        load_records(tmp_path / "recs")
+
+
+def test_truncated_or_unindexed_records_rejected(tmp_path):
+    import json
+
+    model, ctx, task, local = node_setup("gcn", seed=10)
+    i_loss, i_ts = compute_importance(model, ctx, task, local)
+    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+                 tmp_path / "recs")
+    blob = tmp_path / "recs" / "records.bin"
+    whole = blob.read_bytes()
+    blob.write_bytes(whole[:-8])
+    with pytest.raises(ModelError, match="0.imp.head.b"):
+        load_records(tmp_path / "recs")
+    blob.write_bytes(whole)
+    path = tmp_path / "recs" / "records.json"
+    manifest = json.loads(path.read_text())
+    manifest["index"] = [e for e in manifest["index"]
+                         if e["name"] != "0.imp.layers.0.W"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError, match="0.imp.layers.0.W"):
         load_records(tmp_path / "recs")

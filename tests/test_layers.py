@@ -440,3 +440,22 @@ def test_old_checkpoint_format_rejected(tmp_path):
     (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ModelError):
         load_checkpoint(tmp_path / "ck")
+
+
+def test_truncated_or_unindexed_checkpoint_rejected(tmp_path):
+    model = GnnModel(ModelConfig(backbone="gcn", hidden_dim=4), 3, 2,
+                     np.random.default_rng(14))
+    save_checkpoint(model, tmp_path / "ck")
+    blob = tmp_path / "ck" / "params.bin"
+    whole = blob.read_bytes()
+    blob.write_bytes(whole[:-8])
+    with pytest.raises(ModelError, match="head.b"):
+        load_checkpoint(tmp_path / "ck")
+    blob.write_bytes(whole)
+    path = tmp_path / "ck" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"] = [e for e in manifest["params"]
+                          if e["name"] != "layers.0.W"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError, match="layers.0.W"):
+        load_checkpoint(tmp_path / "ck")

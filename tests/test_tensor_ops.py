@@ -22,6 +22,8 @@ from gnncl.engine import (
     div,
     edge_dot,
     exp,
+    flat_concat,
+    flat_split,
     gather_rows,
     l1_norm,
     log,
@@ -665,3 +667,48 @@ def test_fused_edge_kernel_validation():
             edge_dot(x, x, src, dst[:2])
         with pytest.raises(ShapeError):
             edge_dot(x, x, src, np.array([0, 3, 1]))
+
+
+_flat_shapes = st.sampled_from([(), (0,), (3,), (2, 0), (2, 3), (2, 1, 3),
+                                (1, 2, 2)])
+
+
+@given(st.lists(st.tuples(_flat_shapes, st.booleans()), max_size=5),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_flat_concat_and_its_vjp_match_concatenate_and_slices(inputs, data):
+    # 0-d, empty and 3-D inputs, some of them constants: the vector is
+    # np.concatenate of the raveled inputs, each live input's cotangent
+    # is its slice of the upstream vector, and flat_split cuts the same
+    # slices
+    def draw(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=_finite))
+
+    xs = [Tensor(draw(shape), requires_grad=live) for shape, live in inputs]
+    live = [x for x in xs if x.requires_grad]
+    want = np.concatenate([np.zeros(0)] + [x.data.ravel() for x in xs])
+    up = draw(want.shape)
+    bounds = np.cumsum([0] + [x.size for x in xs])
+    slices = [up[lo:hi].reshape(x.shape)
+              for x, lo, hi in zip(xs, bounds[:-1], bounds[1:])]
+    with Tape() as tape:
+        out = flat_concat(xs)
+        assert np.array_equal(out.data, want)
+        if not live:
+            assert len(tape) == 0
+            return
+        grads = backward(sum_(mul(out, Tensor(up))), live)
+    for x, piece in zip(xs, slices):
+        if x.requires_grad:
+            assert np.array_equal(grads[x].data, piece)
+    for got, piece in zip(flat_split(Tensor(up), [x.shape for x in xs]),
+                          slices):
+        assert np.array_equal(got.data, piece)
+
+
+def test_flat_split_validation():
+    with pytest.raises(ShapeError):
+        flat_split(Tensor(np.ones(5)), [(2,), (2,)])
+    with pytest.raises(ShapeError):
+        flat_split(Tensor(np.ones((2, 2))), [(2, 2)])
+    assert flat_split(Tensor(np.zeros(0)), []) == []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from ..engine import (
     GradientMap,
     Tape,
-    TapeMode,
     Tensor,
     abs_,
     add,
@@ -56,6 +55,8 @@ class ImportanceRecord:
     task_index: int
     snapshot: ArraySet
     importance: ArraySet
+    _flat: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.snapshot) != set(self.importance):
@@ -68,6 +69,17 @@ class ImportanceRecord:
                 raise ModelError(f"non-finite record values for '{name}'")
             if np.any(imp < 0):
                 raise ModelError(f"negative importance for '{name}'")
+
+    def flat(self, names: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """(importance, snapshot), each raveled into one vector in the
+        order of ``names``; built once per order and kept, as a record
+        does not change after it is frozen."""
+        vecs = self._flat.get(names)
+        if vecs is None:
+            vecs = self._flat[names] = tuple(
+                np.concatenate([arrays[n].ravel() for n in names])
+                for arrays in (self.importance, self.snapshot))
+        return vecs
 
 
 def _abs_grads(model: GnnModel, grads: GradientMap) -> ArraySet:
@@ -141,7 +153,8 @@ def twp_penalty(model: GnnModel,
     """``sum_k sum_m I_m^k (theta_m - S_m^k)^2``: every record's
     importance-weighted squared drift from its snapshot, as one flat
     expression. ``theta`` is one :func:`flat_concat` of the parameters;
-    the records' importances ``I`` and snapshots ``S`` stack into (R, P)
+    the records' importances ``I`` and snapshots ``S`` (each record
+    flattened once, see :meth:`ImportanceRecord.flat`) stack into (R, P)
     arrays in ``named_parameters()`` order, so the expression records
     the same nodes for any number of records. Zero (a constant) with no
     records."""
@@ -155,11 +168,10 @@ def twp_penalty(model: GnnModel,
                     f"record for task {rec.task_index} lacks '{name}'")
             if rec.importance[name].shape != p.shape:
                 raise ModelError(f"record shape mismatch for '{name}'")
-    names = [name for name, _ in named]
-    imp = np.stack([flat_concat([rec.importance[n] for n in names]).data
-                    for rec in records])
-    snap = np.stack([flat_concat([rec.snapshot[n] for n in names]).data
-                     for rec in records])
+    names = tuple(name for name, _ in named)
+    flats = [rec.flat(names) for rec in records]
+    imp = np.stack([i for i, _ in flats])
+    snap = np.stack([s for _, s in flats])
     theta = flat_concat([p for _, p in named])
     return sum_(mul(Tensor(imp), square(sub(theta, Tensor(snap)))))
 
@@ -172,10 +184,10 @@ def capacity_regularizer(model: GnnModel, loss: Tensor, topo: Tensor,
     :func:`flat_concat`, and a single sum takes the norm.
 
     ``loss`` (the task loss) and ``topo`` (see :func:`snapshot_topo`)
-    are scalars already recorded on the active HIGHER_ORDER tape, so the
-    term differentiates the forward they came from. Both gradient maps
-    are recorded with create_graph=True, so the returned scalar supports
-    a further backward pass.
+    are scalars already recorded on the active tape, so the term
+    differentiates the forward they came from. Both gradient maps are
+    recorded with create_graph=True, so the returned scalar supports a
+    further backward pass.
     """
     params = model.parameters()
     f = backward(loss, params, create_graph=True)

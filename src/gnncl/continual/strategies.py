@@ -16,7 +16,6 @@ from ..engine import (
     Adam,
     GradientMap,
     Tape,
-    TapeMode,
     Tensor,
     add,
     backward,
@@ -191,9 +190,6 @@ class Strategy:
 
     # hooks -----------------------------------------------------------
 
-    def tape_mode(self, k: int) -> TapeMode:
-        return TapeMode.FIRST_ORDER
-
     def before_task(self, k: int) -> None:
         pass
 
@@ -216,7 +212,7 @@ class Strategy:
         best = np.inf
         wait = 0
         for _ in range(self.cfg.epochs):
-            with Tape(self.tape_mode(k)):
+            with Tape():
                 loss = self.objective(k)
                 grads = backward(loss, self.params)
             grads = self.transform_grads(k, grads)
@@ -462,11 +458,6 @@ class TwpStrategy(Strategy):
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
         self.records: List[ImportanceRecord] = []
-
-    def tape_mode(self, k: int) -> TapeMode:
-        if self.cfg.beta > 0:
-            return TapeMode.HIGHER_ORDER
-        return TapeMode.FIRST_ORDER
 
     def objective(self, k: int) -> Tensor:
         cfg = self.cfg

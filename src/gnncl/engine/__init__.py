@@ -14,12 +14,10 @@ from .ops import (
     flat_concat,
     flat_split,
     gather_rows,
-    l1_norm,
     leaky_relu,
     log,
     log_softmax,
     matmul,
-    mean_,
     mul,
     neg,
     place_cols,
@@ -49,14 +47,9 @@ from .tensor import (
     SegmentError,
     ShapeError,
     Tape,
-    TapeMode,
-    TapeModeError,
     Tensor,
     active_tape,
     as_tensor,
-    ones,
-    zeros,
-    zeros_like,
 )
 
 # Operator sugar for Tensor; kept here so tensor.py stays free of op logic.
@@ -74,13 +67,11 @@ Tensor.__matmul__ = matmul
 __all__ = [
     "Adam", "DomainError", "EmptyBatchError", "GradientMap",
     "MissingDependencyError", "Node", "SegmentError", "SegmentPlan",
-    "ShapeError", "Tape", "TapeMode", "TapeModeError", "Tensor",
-    "abs_", "active_tape", "add", "as_tensor", "backward",
-    "binary_cross_entropy", "broadcast_to", "cross_entropy", "div",
-    "edge_dot", "elu", "exp", "flat_concat", "flat_split", "gather_rows",
-    "l1_norm", "leaky_relu", "log", "log_softmax", "matmul", "mean_", "mul",
-    "neg", "ones", "place_cols", "relu", "reshape", "scatter_sum",
+    "ShapeError", "Tape", "Tensor", "abs_", "active_tape", "add",
+    "as_tensor", "backward", "binary_cross_entropy", "broadcast_to",
+    "cross_entropy", "div", "edge_dot", "elu", "exp", "flat_concat",
+    "flat_split", "gather_rows", "leaky_relu", "log", "log_softmax",
+    "matmul", "mul", "neg", "place_cols", "relu", "reshape", "scatter_sum",
     "segment_softmax", "sigmoid", "sq_l2_norm", "square", "sub", "sum_",
-    "sum_axis", "sum_to", "take_cols", "tanh", "transpose", "zeros",
-    "zeros_like",
+    "sum_axis", "sum_to", "take_cols", "tanh", "transpose",
 ]

@@ -2,9 +2,8 @@
 
 Every differentiable operation records a node whose VJP is itself built
 from these same operations. Running a backward pass with
-``create_graph=True`` on a HIGHER_ORDER tape therefore records the
-backward computation too, and a second backward pass differentiates
-through it.
+``create_graph=True`` therefore records the backward computation too,
+and a second backward pass differentiates through it.
 
 Stabilizing shifts (the row max in ``cross_entropy``, the per-segment
 max in ``segment_softmax``) are detached constants. Softmax is shift
@@ -28,8 +27,6 @@ from .tensor import (
     SegmentError,
     ShapeError,
     Tape,
-    TapeMode,
-    TapeModeError,
     Tensor,
     active_tape,
     as_tensor,
@@ -107,7 +104,7 @@ def broadcast_to(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
 def reshape(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     xs = x.shape
 
@@ -452,17 +449,6 @@ def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
                   (x,), build)
 
 
-def mean_(x) -> Tensor:
-    x = as_tensor(x)
-    if x.size == 0:
-        raise EmptyBatchError("mean over an empty tensor")
-    return div(sum_(x), Tensor(float(x.size)))
-
-
-def l1_norm(x) -> Tensor:
-    return sum_(abs_(x))
-
-
 def sq_l2_norm(x) -> Tensor:
     return sum_(square(x))
 
@@ -524,7 +510,7 @@ def _gather_rows_into_workspace(x: np.ndarray,
     """``x[plan.ids]`` written into the plan's workspace, valid until
     the next gather through the plan."""
     tail = x.shape[1:]
-    work = plan.workspace(int(np.prod(tail, dtype=np.int64)))
+    work = plan.workspace(math.prod(tail))
     # the ids are validated, so clipping never moves one; with the
     # default mode numpy would gather into a temporary and copy
     return np.take(x, plan.ids, axis=0, mode="clip",
@@ -577,7 +563,7 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
             values *= weights.data[..., None]
             inputs = (x, weights)
     tail = x.shape[1:]
-    width = int(np.prod(tail, dtype=np.int64))
+    width = math.prod(tail)
     data = np.bincount(plan.flat(width), weights=values.ravel(),
                        minlength=num_segments * width)
     data = data.reshape((num_segments,) + tail)
@@ -850,9 +836,9 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     but do not influence the loss get zero gradients; params the tape
     has never seen raise :class:`MissingDependencyError`.
 
-    With ``create_graph=True`` (HIGHER_ORDER tapes only) the backward
-    computation is recorded, so returned gradients can be differentiated
-    again.
+    With ``create_graph=True`` the backward computation is recorded, so
+    returned gradients can be differentiated again. Without it the sweep
+    runs with the tape paused and records nothing.
 
     The sweep frees each node's adjoint once its VJP has consumed it and
     keeps only the adjoints of the targets, so it holds the adjoints of
@@ -863,8 +849,6 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     if loss._tape is None or loss._tape() is None:
         raise MissingDependencyError("loss was not recorded on any live tape")
     tape = loss._tape()
-    if create_graph and tape.mode is not TapeMode.HIGHER_ORDER:
-        raise TapeModeError("create_graph=True needs a HIGHER_ORDER tape")
 
     targets = {}
     for p in params:

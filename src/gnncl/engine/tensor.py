@@ -2,17 +2,16 @@
 
 The engine keeps values in plain numpy arrays and records operations on an
 explicit, append-only tape. Backward passes are expressed in terms of the
-same tensor operations, so a tape opened in HIGHER_ORDER mode can record
-the backward pass itself and differentiate through it (needed for the
-capacity regularizer, which penalizes gradient magnitudes).
+same tensor operations, so any tape can record the backward pass itself
+and differentiate through it (needed for the capacity regularizer, which
+penalizes gradient magnitudes).
 """
 
 from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from enum import Enum
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -33,17 +32,8 @@ class EmptyBatchError(ValueError):
     """A loss was asked to average over zero selected rows."""
 
 
-class TapeModeError(RuntimeError):
-    """An operation is not available in the tape's current mode."""
-
-
 class MissingDependencyError(RuntimeError):
     """A differentiation target never appeared on the tape."""
-
-
-class TapeMode(Enum):
-    FIRST_ORDER = "first_order"
-    HIGHER_ORDER = "higher_order"
 
 
 class Node:
@@ -77,14 +67,12 @@ class Tape:
     """Append-only record of operations in topological order.
 
     Every node's inputs precede it, so a single reverse sweep over node
-    ids implements backpropagation. In HIGHER_ORDER mode the backward
-    pass appends its own nodes to the tape, making gradients themselves
-    differentiable; operations without higher-order support refuse to
-    record in that mode.
+    ids implements backpropagation. A backward pass with
+    ``create_graph=True`` appends its own nodes to the tape, making
+    gradients themselves differentiable.
     """
 
-    def __init__(self, mode: TapeMode = TapeMode.FIRST_ORDER):
-        self.mode = mode
+    def __init__(self):
         self.nodes: list[Node] = []
         self._leaf_ids: Dict[int, int] = {}
         self._recording = True
@@ -169,17 +157,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """A constant view of the same values, cut from any tape."""
-        return Tensor(self.data)
-
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return out
-
     def _link(self, tape: Tape, node_id: int) -> None:
         self._tape = weakref.ref(tape)
         self._node_id = node_id
@@ -197,15 +174,3 @@ GradientMap = Dict[Tensor, Tensor]
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape))
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape))

@@ -8,6 +8,7 @@ importance records.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict
 from typing import Dict, List, Sequence, Tuple
@@ -35,22 +36,35 @@ def write_blob(path: str, arrays: Sequence[Tuple[str, np.ndarray]]
     return index
 
 
+def _is_count(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
 def read_blob(path: str, index: Sequence[dict]) -> Dict[str, np.ndarray]:
-    """The arrays an index table names; :class:`ModelError` if the blob
-    ends before one of them does."""
+    """The arrays an index table names; :class:`ModelError` naming the
+    array if its entry's ``shape`` is not a list of non-negative ints,
+    its ``offset`` is not a non-negative int, or the blob ends before
+    the array does."""
     with open(path, "rb") as f:
         raw = f.read()
     out: Dict[str, np.ndarray] = {}
     for entry in index:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        if start < 0 or start + 8 * count > len(raw):
+        name, shape, start = (entry.get("name"), entry.get("shape"),
+                              entry.get("offset"))
+        if not (isinstance(shape, list) and all(map(_is_count, shape))
+                and _is_count(start)):
             raise ModelError(
-                f"{os.path.basename(path)} is too short for "
-                f"'{entry['name']}'")
+                f"{os.path.basename(path)} index entry for '{name}' "
+                "needs a list of non-negative integers as shape and a "
+                f"non-negative integer offset, got {shape!r} and "
+                f"{start!r}")
+        count = math.prod(shape)
+        if start + 8 * count > len(raw):
+            raise ModelError(
+                f"{os.path.basename(path)} is too short for '{name}'")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        out[name] = arr.reshape(shape).astype(np.float64)
     return out
 
 

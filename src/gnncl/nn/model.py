@@ -20,13 +20,12 @@ from ..engine import (
     Tensor,
     add,
     div,
-    gather_rows,
+    edge_dot,
     matmul,
     mul,
     scatter_sum,
     segment_softmax,
     sq_l2_norm,
-    sum_axis,
     take_cols,
     tanh,
 )
@@ -143,7 +142,6 @@ class AttentionSnapshot:
 
     coeffs: Tensor
     edge_dst: np.ndarray
-    num_nodes: int
 
     def squared_norm(self, node_mask: Optional[np.ndarray] = None) -> Tensor:
         """Sum of squared coefficients, optionally restricted to edges
@@ -165,12 +163,9 @@ def nonparam_attention(weight: Tensor, h: Tensor,
     """
     adj, dst = ctx.adj, ctx.adj_dst_plan
     hw = matmul(h, weight)
-    th = tanh(hw)
-    scores = sum_axis(mul(gather_rows(hw, dst),
-                          gather_rows(th, ctx.adj_src_plan)), axis=1)
+    scores = edge_dot(hw, tanh(hw), dst, ctx.adj_src_plan)
     coeffs = segment_softmax(scores, dst, adj.num_nodes)
-    return AttentionSnapshot(coeffs=coeffs, edge_dst=adj.edge_dst,
-                             num_nodes=adj.num_nodes)
+    return AttentionSnapshot(coeffs=coeffs, edge_dst=adj.edge_dst)
 
 
 class GnnModel:
@@ -240,8 +235,7 @@ class GnnModel:
                     h, coeffs = layer.forward_with_attention(h, ctx)
                     snapshot = AttentionSnapshot(
                         coeffs=coeffs,
-                        edge_dst=np.tile(ctx.adj.edge_dst, layer.num_heads),
-                        num_nodes=ctx.adj.num_nodes)
+                        edge_dst=np.tile(ctx.adj.edge_dst, layer.num_heads))
                 else:
                     snapshot = nonparam_attention(self.middle_weight(), h,
                                                   ctx)

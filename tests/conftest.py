@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnncl.engine import Tape, TapeMode, Tensor, backward
+from gnncl.engine import Tape, Tensor, backward
 
 
 def central_diff(f, arrays, eps=1e-5):
@@ -36,13 +36,13 @@ def max_rel_err(analytic, numeric):
     return float(np.max(np.abs(a - n) / scale)) if a.size else 0.0
 
 
-def grad_check(build_loss, tensors, eps=1e-5, mode=TapeMode.FIRST_ORDER):
+def grad_check(build_loss, tensors, eps=1e-5):
     """Analytic vs central-difference gradients; returns worst rel err.
 
     build_loss() must construct the scalar loss from ``tensors`` inside
     whatever tape is active.
     """
-    with Tape(mode):
+    with Tape():
         loss = build_loss()
         grads = backward(loss, tensors)
     analytic = [grads[t].data for t in tensors]

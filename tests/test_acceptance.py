@@ -24,7 +24,7 @@ from gnncl.continual.strategies import (
     TaskView,
     make_strategy,
 )
-from gnncl.engine import Tape, TapeMode, Tensor, add, backward
+from gnncl.engine import Tape, Tensor, add, backward
 from gnncl.graphs import load_dataset, save_dataset
 from gnncl.harness.metrics import RMatrix, auc_score, compute_ap_af, evaluate
 from gnncl.harness.runner import (
@@ -117,7 +117,7 @@ def _param_arrays(model):
 def _grad_vs_fd(model, live_scalar_fn, value_fn, eps=1e-5):
     """Max relative error between analytic gradients and central FD."""
     params = model.parameters()
-    with Tape(TapeMode.HIGHER_ORDER):
+    with Tape():
         grads = backward(live_scalar_fn(), params)
     analytic = np.concatenate(
         [grads[p].data.ravel() for p in params])
@@ -166,7 +166,7 @@ def test_criterion_1_gradient_correctness(capsys):
                 beta))
 
         def full_value():
-            with Tape(TapeMode.HIGHER_ORDER):
+            with Tape():
                 val = full_live().item()
             return val
 

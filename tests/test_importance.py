@@ -4,7 +4,7 @@ differentiable capacity term."""
 import numpy as np
 import pytest
 
-from gnncl.engine import Tape, TapeMode, Tensor, backward
+from gnncl.engine import Tape, Tensor, backward
 from gnncl.graphs import TaskSpec, graph_from_edges
 from gnncl.nn import ForwardContext, GnnModel, ModelConfig, ModelError
 from gnncl.continual import (
@@ -227,6 +227,24 @@ def test_penalty_nodes_do_not_grow_with_records():
     assert sizes[0] == sizes[1]
 
 
+def test_records_flatten_once():
+    model, recs = drifted_records("gin", 2, gin_eps_learnable=True)
+    names = tuple(name for name, _ in model.named_parameters())
+    with Tape():
+        first = twp_penalty(model, recs).item()
+    kept = [rec.flat(names) for rec in recs]
+    with Tape():
+        again = twp_penalty(model, recs).item()
+    assert again == first
+    for rec, (imp, snap) in zip(recs, kept):
+        got = rec.flat(names)
+        assert got[0] is imp and got[1] is snap
+        assert np.array_equal(
+            imp, np.concatenate([rec.importance[n].ravel() for n in names]))
+        assert np.array_equal(
+            snap, np.concatenate([rec.snapshot[n].ravel() for n in names]))
+
+
 def test_negative_importance_rejected():
     # negative importance; NaN importance, which no comparison catches;
     # an infinite snapshot
@@ -243,7 +261,7 @@ def test_mismatched_record_sets_rejected():
 
 def test_capacity_zero_when_beta_zero():
     model, ctx, task, local = node_setup("gcn", seed=5)
-    with Tape(TapeMode.HIGHER_ORDER):
+    with Tape():
         cap = capacity(model, ctx, task, local, 1.0, 1.0, 0.0)
         assert cap.item() == 0.0
 
@@ -251,12 +269,12 @@ def test_capacity_zero_when_beta_zero():
 def test_capacity_gradient_matches_finite_differences():
     model, ctx, task, local = node_setup("gcn", seed=6)
     params = model.parameters()
-    with Tape(TapeMode.HIGHER_ORDER):
+    with Tape():
         cap = capacity(model, ctx, task, local, 1.0, 0.5, 0.1)
         grads = backward(cap, params)
 
     def cap_value():
-        with Tape(TapeMode.HIGHER_ORDER):
+        with Tape():
             return capacity(model, ctx, task, local, 1.0, 0.5, 0.1).item()
 
     worst = 0.0
@@ -268,7 +286,7 @@ def test_capacity_gradient_matches_finite_differences():
 
 def test_capacity_scales_linearly_in_beta():
     model, ctx, task, local = node_setup("gat", seed=7)
-    with Tape(TapeMode.HIGHER_ORDER):
+    with Tape():
         a = capacity(model, ctx, task, local, 2.0, 3.0, 0.1)
         b = capacity(model, ctx, task, local, 2.0, 3.0, 0.2)
     assert b.item() == pytest.approx(2 * a.item(), rel=1e-12)
@@ -331,4 +349,25 @@ def test_truncated_or_unindexed_records_rejected(tmp_path):
                          if e["name"] != "0.imp.layers.0.W"]
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelError, match="0.imp.layers.0.W"):
+        load_records(tmp_path / "recs")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("shape", [-3, 4]), ("shape", [3.0, 4]), ("offset", 1.5),
+    ("offset", None), ("shape", [2 ** 32, 2 ** 32])])
+def test_malformed_records_index_rejected(tmp_path, field, value):
+    import json
+
+    model, ctx, task, local = node_setup("gcn", seed=11)
+    i_loss, i_ts = compute_importance(model, ctx, task, local)
+    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+                 tmp_path / "recs")
+    path = tmp_path / "recs" / "records.json"
+    manifest = json.loads(path.read_text())
+    entry = manifest["index"][0]
+    assert entry["name"] == "0.snap.layers.0.W"
+    assert entry["shape"] == [3, 4]
+    entry[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError, match="0.snap.layers.0.W"):
         load_records(tmp_path / "recs")

@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 
 from gnncl.engine import (
     Tape,
-    TapeMode,
     Tensor,
     abs_,
     add,
@@ -388,11 +387,11 @@ def test_stacked_gat_matches_per_head_reference(n, heads, d_in, d_head,
     assert np.array_equal(grads[layer.a].data,
                           np.concatenate([ref_grads[a].data for a in As]))
 
-    with Tape(TapeMode.HIGHER_ORDER):
+    with Tape():
         out, coeffs = layer.forward_with_attention(h, ctx)
         cap = capacity_of(*gat_objectives(out, [coeffs], weights), stacked)
         cap_grads = backward(cap, stacked)
-    with Tape(TapeMode.HIGHER_ORDER):
+    with Tape():
         ref_out, alphas, Ws, As = per_head_gat(layer, h, ctx)
         ref_cap = capacity_of(*gat_objectives(ref_out, alphas, weights),
                               Ws + As)
@@ -456,6 +455,25 @@ def test_truncated_or_unindexed_checkpoint_rejected(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["params"] = [e for e in manifest["params"]
                           if e["name"] != "layers.0.W"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError, match="layers.0.W"):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("shape", [-3, 4]), ("shape", [3.0, 4]), ("shape", [True, 4]),
+    ("shape", "34"), ("offset", 1.5), ("offset", -8),
+    ("shape", [2 ** 32, 2 ** 32])])
+def test_malformed_checkpoint_index_rejected(tmp_path, field, value):
+    # a negative count used to read the whole blob and reshape as (3, 4)
+    model = GnnModel(ModelConfig(backbone="gcn", hidden_dim=4), 3, 2,
+                     np.random.default_rng(15))
+    save_checkpoint(model, tmp_path / "ck")
+    path = tmp_path / "ck" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entry = manifest["params"][0]
+    assert entry["name"] == "layers.0.W" and entry["shape"] == [3, 4]
+    entry[field] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelError, match="layers.0.W"):
         load_checkpoint(tmp_path / "ck")

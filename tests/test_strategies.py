@@ -15,7 +15,7 @@ from gnncl.continual.strategies import (
     TaskView,
     make_strategy,
 )
-from gnncl.engine import Tape, TapeMode, add, backward
+from gnncl.engine import Tape, add, backward
 from gnncl.harness.runner import (
     build_dataset,
     build_model,
@@ -291,11 +291,11 @@ class TestTwpCapacityModes:
                     model, loss, snapshot_topo(snap, ctx, task),
                     1.0, 0.5, 0.1)
 
-            with Tape(TapeMode.HIGHER_ORDER):
+            with Tape():
                 grads = backward(cap_live(), params)
 
             def cap_value():
-                with Tape(TapeMode.HIGHER_ORDER):
+                with Tape():
                     return cap_live().item()
 
             for name, p in model.named_parameters():
@@ -324,7 +324,7 @@ class TestTwpCapacityModes:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(GnnModel, "forward_embeddings", counted)
-        with Tape(strat.tape_mode(0)):
+        with Tape():
             strat.objective(0)
         assert len(calls) == 1
 
@@ -339,9 +339,9 @@ class TestTwpCapacityModes:
         for p in model.parameters():  # move off the anchor
             p.data += 0.01
         ctx, task = view.train_ctx(1), seq.tasks[1]
-        with Tape(TapeMode.HIGHER_ORDER):
+        with Tape():
             got = strat.objective(1).item()
-        with Tape(TapeMode.HIGHER_ORDER):
+        with Tape():
             loss, _ = view.train_loss(model, 1)
             pen = twp_penalty(model, strat.records)
             logits, snap = model_forward(model, ctx, task,

@@ -16,7 +16,6 @@ from .strategies import (
     STRATEGY_KINDS,
     ConfigError,
     EpisodicMemory,
-    FrozenTeacher,
     Strategy,
     StrategyConfig,
     TaskView,
@@ -24,7 +23,7 @@ from .strategies import (
 )
 
 __all__ = [
-    "ConfigError", "EpisodicMemory", "FrozenTeacher", "ImportanceRecord",
+    "ConfigError", "EpisodicMemory", "ImportanceRecord",
     "PGD_ITERATIONS", "STRATEGY_KINDS", "Strategy", "StrategyConfig",
     "TaskView", "capacity_regularizer", "combine_importance",
     "compute_importance", "gem_project", "load_records",

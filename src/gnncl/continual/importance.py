@@ -40,7 +40,7 @@ from ..nn import (
     ModelError,
     model_forward,
 )
-from ..nn.checkpoint import read_blob, write_blob
+from ..nn.checkpoint import read_blob, read_manifest, write_blob
 
 ArraySet = Dict[str, np.ndarray]
 
@@ -105,6 +105,13 @@ def task_loss_from_logits(logits: Tensor, ctx: ForwardContext,
     return binary_cross_entropy(reshape(logits, (logits.shape[0],)), labels)
 
 
+def train_rows(ctx: ForwardContext, task) -> Optional[np.ndarray]:
+    """The rows of ``ctx`` that ``task`` trains on: its ``train`` nodes
+    on a node context, or None (every row) on a pooled context, whose
+    rows are the graphs it was pooled over."""
+    return task.train if ctx.node_to_graph is None else None
+
+
 def compute_importance(model: GnnModel, ctx: ForwardContext, task,
                        local_labels: Optional[np.ndarray]
                        ) -> Tuple[ArraySet, ArraySet]:
@@ -119,7 +126,7 @@ def compute_importance(model: GnnModel, ctx: ForwardContext, task,
         logits, snapshot = model_forward(model, ctx, task,
                                          want_attention=True)
         loss = task_loss_from_logits(logits, ctx, local_labels,
-                                     task.train_mask)
+                                     train_rows(ctx, task))
         topo = snapshot_topo(snapshot, ctx, task)
         i_loss = _abs_grads(model, backward(loss, params))
         i_ts = _abs_grads(model, backward(topo, params))
@@ -129,8 +136,12 @@ def compute_importance(model: GnnModel, ctx: ForwardContext, task,
 def snapshot_topo(snapshot: AttentionSnapshot, ctx: ForwardContext,
                   task) -> Tensor:
     """Squared l2 norm of a snapshot's coefficients on edges aggregating
-    into training nodes (all edges for pooled contexts)."""
-    mask = task.train_mask if ctx.node_to_graph is None else None
+    into the task's training rows (all edges for pooled contexts)."""
+    rows = train_rows(ctx, task)
+    if rows is None:
+        return snapshot.squared_norm()
+    mask = np.zeros(ctx.graph.num_nodes, dtype=bool)
+    mask[rows] = True
     return snapshot.squared_norm(mask)
 
 
@@ -218,11 +229,8 @@ def save_records(records: Sequence[ImportanceRecord], path: str) -> None:
 
 
 def load_records(path: str) -> List[ImportanceRecord]:
-    with open(os.path.join(path, "records.json")) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != RECORDS_FORMAT:
-        raise ModelError(
-            f"unsupported records format {manifest.get('format')!r}")
+    manifest = read_manifest(path, "records.json", RECORDS_FORMAT,
+                             {"records": list, "index": list})
     arrays = read_blob(os.path.join(path, "records.bin"),
                        manifest["index"])
 
@@ -233,7 +241,12 @@ def load_records(path: str) -> List[ImportanceRecord]:
 
     out: List[ImportanceRecord] = []
     for meta in manifest["records"]:
-        k = meta["task_index"]
+        k = meta.get("task_index") if isinstance(meta, dict) else None
+        if (not isinstance(k, int) or isinstance(k, bool) or k < 0
+                or not isinstance(meta.get("params"), list)):
+            raise ModelError(
+                "each records.json record needs a non-negative integer "
+                f"task_index and a params list, got {meta!r}")
         snap = {name: array(f"{k}.snap.{name}") for name in meta["params"]}
         imp = {name: array(f"{k}.imp.{name}") for name in meta["params"]}
         out.append(ImportanceRecord(task_index=k, snapshot=snap,

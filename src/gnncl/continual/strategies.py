@@ -2,12 +2,13 @@
 
 Every strategy trains task k with Adam on a per-epoch objective and may
 hook gradient post-processing (GEM) and end-of-task state updates
-(importance records, Fisher/omega estimates, teachers, memory).
+(importance records, teachers, memory). EWC, MAS and TWP share one
+anchor path and differ only in how they score a task's importance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from ..nn import (
     ForwardContext,
     GnnModel,
     class_columns,
+    finite_real,
     head_logits,
     model_forward,
 )
@@ -50,6 +52,7 @@ from .importance import (
     compute_importance,
     snapshot_topo,
     task_loss_from_logits,
+    train_rows,
     twp_penalty,
 )
 
@@ -83,6 +86,12 @@ class StrategyConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             # numpy ints become ints, so a resolved config writes as JSON
             object.__setattr__(self, name, int(value))
+        for name in ("lambda_l", "lambda_t", "beta", "lambda_reg",
+                     "distill_temperature", "lr"):
+            value = getattr(self, name)
+            if not finite_real(value):
+                raise ConfigError(
+                    f"{name} must be a finite number, got {value!r}")
         for name in ("lambda_l", "lambda_t", "beta", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -99,13 +108,13 @@ class StrategyConfig:
 
 
 class TaskView:
-    """Per-sequence forward plumbing: contexts and class-local labels."""
+    """Per-sequence forward plumbing: contexts, training rows and
+    class-local labels."""
 
     def __init__(self, seq: TaskSequence):
         self.seq = seq
         self.node = seq.task_type is TaskType.NODE
-        self._train_ctx: Dict[int, ForwardContext] = {}
-        self._test_ctx: Dict[int, ForwardContext] = {}
+        self._pools: Dict[Tuple[int, ...], ForwardContext] = {}
         if self.node:
             self.ctx = ForwardContext.for_graph(seq.graph)
             self.local_labels: List[np.ndarray] = []
@@ -115,23 +124,28 @@ class TaskView:
                     loc[seq.graph.labels == c] = j
                 self.local_labels.append(loc)
 
+    def pool_ctx(self, graphs: np.ndarray) -> ForwardContext:
+        """The context pooled over these pool graphs, in this order;
+        built once per index list and kept."""
+        key = tuple(graphs.tolist())
+        ctx = self._pools.get(key)
+        if ctx is None:
+            ctx = self._pools[key] = ForwardContext.for_pool(
+                [self.seq.graphs[i] for i in key])
+        return ctx
+
     def train_ctx(self, k: int) -> ForwardContext:
-        if self.node:
-            return self.ctx
-        if k not in self._train_ctx:
-            idx = self.seq.tasks[k].train_graphs
-            self._train_ctx[k] = ForwardContext.for_pool(
-                [self.seq.graphs[i] for i in idx])
-        return self._train_ctx[k]
+        return self.ctx if self.node else self.pool_ctx(
+            self.seq.tasks[k].train)
 
     def test_ctx(self, k: int) -> ForwardContext:
-        if self.node:
-            return self.ctx
-        if k not in self._test_ctx:
-            idx = self.seq.tasks[k].test_graphs
-            self._test_ctx[k] = ForwardContext.for_pool(
-                [self.seq.graphs[i] for i in idx])
-        return self._test_ctx[k]
+        return self.ctx if self.node else self.pool_ctx(
+            self.seq.tasks[k].test)
+
+    def train_rows(self, k: int) -> Optional[np.ndarray]:
+        """Task k's training rows of its training context; None for
+        all of them (see :func:`train_rows`)."""
+        return train_rows(self.train_ctx(k), self.seq.tasks[k])
 
     def labels(self, k: int) -> Optional[np.ndarray]:
         """Class-local node labels of task k; None for graph tasks,
@@ -141,11 +155,10 @@ class TaskView:
     def train_loss(self, model: GnnModel, k: int,
                    want_attention: bool = False):
         """Full-batch training loss for task k; returns (loss, snapshot)."""
-        task = self.seq.tasks[k]
-        ctx = self.train_ctx(k)
+        ctx, task = self.train_ctx(k), self.seq.tasks[k]
         logits, snap = model_forward(model, ctx, task, want_attention)
         loss = task_loss_from_logits(logits, ctx, self.labels(k),
-                                     task.train_mask)
+                                     train_rows(ctx, task))
         return loss, snap
 
 
@@ -155,26 +168,15 @@ class EpisodicMemory:
     scored on.
 
     ``indices`` name the remembered nodes or pool graphs. Node tasks
-    score ``rows`` (the remembered nodes) of the shared graph's context:
-    the structure stays visible, and ``labels`` keeps the class-local
-    labels of those nodes alone, -1 elsewhere. Graph tasks keep a
-    context pooled over the remembered graphs, scored whole
-    (``rows`` None), and ``labels`` copies its graph labels.
+    score ``rows`` (the remembered nodes) of the shared graph's context,
+    so the structure stays visible. Graph tasks keep a context pooled
+    over the remembered graphs, scored whole (``rows`` None).
     """
 
     task_index: int
     indices: np.ndarray
-    labels: np.ndarray
     ctx: ForwardContext
     rows: Optional[np.ndarray] = None
-
-
-@dataclass
-class FrozenTeacher:
-    """Immutable model copy distilled from, never trained."""
-
-    model: GnnModel
-    tasks_seen: int
 
 
 class Strategy:
@@ -250,62 +252,60 @@ class JointStrategy(Strategy):
         return total
 
 
-class _QuadraticAnchorStrategy(Strategy):
-    """Shared form of EWC and MAS: per-task importance-weighted
-    quadratic pull toward each finished task's parameters.
+class AnchorStrategy(Strategy):
+    """Shared form of EWC, MAS and TWP: an importance-weighted quadratic
+    pull toward the parameters each finished task ended with.
 
-    A task's importance is the mean of ``transform`` applied to each
-    training example's gradient of ``_example_scalar``.
+    A task's importance is by default the mean of ``transform`` applied
+    to each training example's gradient of ``_example_scalar``; TWP
+    scores it from loss and topology sensitivity instead.
     """
+
+    scaled = True  # by lambda_reg; TWP's importance carries its weights
 
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
         self.records: List[ImportanceRecord] = []
 
-    def objective(self, k: int) -> Tensor:
-        loss, _ = self.view.train_loss(self.model, k)
+    def anchored(self, loss: Tensor) -> Tensor:
+        """``loss`` plus the penalty of every record; ``loss`` itself
+        before the first record."""
         if not self.records:
             return loss
-        return add(loss, mul(Tensor(self.cfg.lambda_reg),
-                             twp_penalty(self.model, self.records)))
+        penalty = twp_penalty(self.model, self.records)
+        if self.scaled:
+            penalty = mul(Tensor(self.cfg.lambda_reg), penalty)
+        return add(loss, penalty)
 
-    def _per_example_scalars(self, k: int):
-        """Yield one tape-live scalar per training example of task k."""
-        task = self.view.seq.tasks[k]
-        ctx = self.view.train_ctx(k)
-        logits, _ = model_forward(self.model, ctx, task)
-        rows = task.train_nodes() if self.view.node else range(
-            ctx.num_graphs)
-        for i in rows:
-            yield self._example_scalar(k, ctx, logits, int(i))
+    def objective(self, k: int) -> Tensor:
+        loss, _ = self.view.train_loss(self.model, k)
+        return self.anchored(loss)
 
-    def _accumulate(self, k: int, transform) -> ArraySet:
+    def importance(self, k: int) -> ArraySet:
         named = self.model.named_parameters()
         acc = {name: np.zeros(p.shape) for name, p in named}
-        count = 0
+        ctx = self.view.train_ctx(k)
+        rows = self.view.train_rows(k)
         with Tape():
-            for scalar in self._per_example_scalars(k):
-                grads = backward(scalar, self.params)
+            logits, _ = model_forward(self.model, ctx, self.view.seq.tasks[k])
+            if rows is None:
+                rows = range(logits.shape[0])
+            for i in rows:
+                grads = backward(self._example_scalar(k, ctx, logits, int(i)),
+                                 self.params)
                 for name, p in named:
-                    acc[name] += transform(grads[p].data)
-                count += 1
-        if count == 0:
-            raise ConfigError(f"task {k} has no training examples")
-        return {name: a / count for name, a in acc.items()}
-
-    def _example_scalar(self, k: int, ctx: ForwardContext,
-                        logits: Tensor, i: int) -> Tensor:
-        raise NotImplementedError
+                    acc[name] += self.transform(grads[p].data)
+        return {name: a / len(rows) for name, a in acc.items()}
 
     def after_task(self, k: int) -> None:
-        importance = self._accumulate(k, self.transform)
+        importance = self.importance(k)
         snapshot = {name: p.data.copy()
                     for name, p in self.model.named_parameters()}
         self.records.append(ImportanceRecord(
             task_index=k, snapshot=snapshot, importance=importance))
 
 
-class EwcStrategy(_QuadraticAnchorStrategy):
+class EwcStrategy(AnchorStrategy):
     """Diagonal Fisher: mean squared per-example loss gradient."""
 
     kind = "EWC"
@@ -316,7 +316,7 @@ class EwcStrategy(_QuadraticAnchorStrategy):
                                      np.asarray([i]))
 
 
-class MasStrategy(_QuadraticAnchorStrategy):
+class MasStrategy(AnchorStrategy):
     """Mean absolute gradient of each example's squared output norm."""
 
     kind = "MAS"
@@ -334,22 +334,22 @@ class LwfStrategy(Strategy):
 
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
-        self.teacher: Optional[FrozenTeacher] = None
+        # a copy of the model as it ended the last task, never trained
+        self.teacher: Optional[GnnModel] = None
         self._soft_targets: List[np.ndarray] = []
 
     def before_task(self, k: int) -> None:
-        """Teacher outputs are fixed for the whole task; compute their
-        softened targets once, off any tape."""
+        """Teacher outputs are fixed for the whole task; compute the
+        softened targets of every earlier task once, off any tape."""
         self._soft_targets = []
         if self.teacher is None:
             return
         tau = self.cfg.distill_temperature
         ctx = self.view.train_ctx(k)
-        rows = (self.view.seq.tasks[k].train_nodes()
-                if self.view.node else None)
-        emb, _ = self.teacher.model.forward_embeddings(ctx)
-        full = head_logits(self.teacher.model, ctx, emb).data
-        for t in range(self.teacher.tasks_seen):
+        rows = self.view.train_rows(k)
+        emb, _ = self.teacher.forward_embeddings(ctx)
+        full = head_logits(self.teacher, ctx, emb).data
+        for t in range(k):
             cols = list(self.view.seq.tasks[t].classes)
             if self.view.node:
                 tl = full[np.ix_(rows, cols)] / tau
@@ -362,23 +362,17 @@ class LwfStrategy(Strategy):
 
     def objective(self, k: int) -> Tensor:
         ctx = self.view.train_ctx(k)
-        task_now = self.view.seq.tasks[k]
+        rows = self.view.train_rows(k)
         emb, _ = self.model.forward_embeddings(ctx)
         full = head_logits(self.model, ctx, emb)
-        now_logits = take_cols(full, class_columns(self.model,
-                                                   task_now.classes))
-        loss = task_loss_from_logits(now_logits, ctx, self.view.labels(k),
-                                     task_now.train_mask)
-        if self.teacher is None:
-            return loss
+        now_logits = take_cols(full, class_columns(
+            self.model, self.view.seq.tasks[k].classes))
+        total = task_loss_from_logits(now_logits, ctx, self.view.labels(k),
+                                      rows)
         tau = self.cfg.distill_temperature
-        rows = task_now.train_nodes() if self.view.node else None
-        total = loss
-        for t in range(self.teacher.tasks_seen):
-            old = self.view.seq.tasks[t]
-            s_logits = take_cols(full, class_columns(self.model,
-                                                     old.classes))
-            probs = self._soft_targets[t]
+        for t, probs in enumerate(self._soft_targets):
+            s_logits = take_cols(full, class_columns(
+                self.model, self.view.seq.tasks[t].classes))
             if self.view.node:
                 s = mul(gather_rows(s_logits, rows), Tensor(1.0 / tau))
                 ce = neg(div(sum_(mul(Tensor(probs), log_softmax(s))),
@@ -391,8 +385,7 @@ class LwfStrategy(Strategy):
         return total
 
     def after_task(self, k: int) -> None:
-        self.teacher = FrozenTeacher(model=self.model.clone(),
-                                     tasks_seen=k + 1)
+        self.teacher = self.model.clone()
 
 
 class GemStrategy(Strategy):
@@ -406,11 +399,12 @@ class GemStrategy(Strategy):
         self.memory: List[EpisodicMemory] = []
 
     def _memory_grad(self, mem: EpisodicMemory) -> np.ndarray:
-        task = self.view.seq.tasks[mem.task_index]
+        k = mem.task_index
         with Tape():
-            logits, _ = model_forward(self.model, mem.ctx, task)
-            loss = task_loss_from_logits(logits, mem.ctx, mem.labels,
-                                         mem.rows)
+            logits, _ = model_forward(self.model, mem.ctx,
+                                      self.view.seq.tasks[k])
+            loss = task_loss_from_logits(logits, mem.ctx,
+                                         self.view.labels(k), mem.rows)
             grads = backward(loss, self.params)
         return flat_concat([grads[p] for p in self.params]).data
 
@@ -426,44 +420,29 @@ class GemStrategy(Strategy):
         return dict(zip(self.params, pieces))
 
     def after_task(self, k: int) -> None:
-        task = self.view.seq.tasks[k]
         rng = np.random.default_rng([self.seed, 200 + k])
+        train = self.view.seq.tasks[k].train
+        take = min(self.cfg.memory_per_task, len(train))
+        idx = np.sort(rng.choice(train, size=take, replace=False))
         if self.view.node:
-            nodes = task.train_nodes()
-            take = min(self.cfg.memory_per_task, len(nodes))
-            idx = np.sort(rng.choice(nodes, size=take, replace=False))
-            local = self.view.local_labels[k]
-            labels = np.full(local.shape, -1, dtype=np.int64)
-            labels[idx] = local[idx]
-            self.memory.append(EpisodicMemory(
-                task_index=k, indices=idx, labels=labels,
-                ctx=self.view.ctx, rows=idx))
+            mem = EpisodicMemory(k, idx, self.view.ctx, rows=idx)
         else:
-            pool = np.asarray(task.train_graphs)
-            take = min(self.cfg.memory_per_task, len(pool))
-            idx = np.sort(rng.choice(pool, size=take, replace=False))
-            ctx = ForwardContext.for_pool(
-                [self.view.seq.graphs[i] for i in idx])
-            self.memory.append(EpisodicMemory(
-                task_index=k, indices=idx, labels=ctx.graph_labels.copy(),
-                ctx=ctx))
+            mem = EpisodicMemory(k, idx, self.view.pool_ctx(idx))
+        self.memory.append(mem)
 
 
-class TwpStrategy(Strategy):
+class TwpStrategy(AnchorStrategy):
     """Anchors parameters by combined loss/topology importance and
     optionally penalizes the current task's importance mass."""
 
     kind = "TWP"
-
-    def __init__(self, cfg, model, view, seed):
-        super().__init__(cfg, model, view, seed)
-        self.records: List[ImportanceRecord] = []
+    scaled = False
 
     def objective(self, k: int) -> Tensor:
         cfg = self.cfg
         loss, snap = self.view.train_loss(self.model, k,
                                           want_attention=cfg.beta > 0)
-        total = add(loss, twp_penalty(self.model, self.records))
+        total = self.anchored(loss)
         if cfg.beta > 0:
             topo = snapshot_topo(snap, self.view.train_ctx(k),
                                  self.view.seq.tasks[k])
@@ -472,14 +451,13 @@ class TwpStrategy(Strategy):
                 cfg.beta))
         return total
 
-    def after_task(self, k: int) -> None:
-        ctx = self.view.train_ctx(k)
-        task = self.view.seq.tasks[k]
-        i_loss, i_ts = compute_importance(self.model, ctx, task,
-                                          self.view.labels(k))
-        self.records.append(combine_importance(
-            self.model, i_loss, i_ts, self.cfg.lambda_l,
-            self.cfg.lambda_t, k))
+    def importance(self, k: int) -> ArraySet:
+        i_loss, i_ts = compute_importance(
+            self.model, self.view.train_ctx(k), self.view.seq.tasks[k],
+            self.view.labels(k))
+        return combine_importance(self.model, i_loss, i_ts,
+                                  self.cfg.lambda_l, self.cfg.lambda_t,
+                                  k).importance
 
 
 _STRATEGIES = {

@@ -21,15 +21,13 @@ from .structures import (
 )
 
 
-def _split_mask(nodes: np.ndarray, num_nodes: int, train_fraction: float,
-                rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+def _split(nodes: np.ndarray, train_fraction: float,
+           rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """A random (train, test) cut of ``nodes``, ``train_fraction`` of
+    them (rounded) in train."""
     perm = rng.permutation(nodes)
     n_train = int(round(train_fraction * len(nodes)))
-    train = np.zeros(num_nodes, dtype=bool)
-    test = np.zeros(num_nodes, dtype=bool)
-    train[perm[:n_train]] = True
-    test[perm[n_train:]] = True
-    return train, test
+    return perm[:n_train], perm[n_train:]
 
 
 # uniform draws per row block of an edge draw: a generator holds one
@@ -115,15 +113,12 @@ def generate_sbm_tasks(num_classes: int, classes_per_task: int,
     for k in range(num_classes // classes_per_task):
         classes = tuple(range(k * classes_per_task,
                               (k + 1) * classes_per_task))
-        train = np.zeros(n, dtype=bool)
-        test = np.zeros(n, dtype=bool)
-        for c in classes:
-            tr, te = _split_mask(np.nonzero(labels == c)[0], n,
-                                 train_fraction, split_rng)
-            train |= tr
-            test |= te
-        tasks.append(TaskSpec(task_index=k, classes=classes,
-                              train_mask=train, test_mask=test))
+        cuts = [_split(np.nonzero(labels == c)[0], train_fraction,
+                       split_rng) for c in classes]
+        tasks.append(TaskSpec(
+            task_index=k, classes=classes,
+            train=np.sort(np.concatenate([tr for tr, _ in cuts])),
+            test=np.sort(np.concatenate([te for _, te in cuts]))))
     return TaskSequence(task_type=TaskType.NODE, tasks=tasks, graph=graph)
 
 
@@ -192,11 +187,8 @@ def generate_graph_classification_tasks(num_tasks: int, graphs_per_task: int,
             g.graph_label = int(s > threshold)
         base = len(graphs)
         graphs.extend(pool)
-        idx = np.arange(base, base + graphs_per_task)
-        perm = rng.permutation(idx)
-        n_train = int(round(train_fraction * graphs_per_task))
-        tasks.append(TaskSpec(
-            task_index=t, classes=(t,),
-            train_graphs=tuple(int(i) for i in perm[:n_train]),
-            test_graphs=tuple(int(i) for i in perm[n_train:])))
+        train, test = _split(np.arange(base, base + graphs_per_task),
+                             train_fraction, rng)
+        tasks.append(TaskSpec(task_index=t, classes=(t,), train=train,
+                              test=test))
     return TaskSequence(task_type=TaskType.GRAPH, tasks=tasks, graphs=graphs)

@@ -32,8 +32,9 @@ class DatasetError(ValueError):
 def save_dataset(seq: TaskSequence, path: str) -> None:
     """Write a node-task sequence as a dataset directory.
 
-    Undirected edges are emitted once (src < dst); masks are written as
-    explicit node-index lists.
+    Undirected edges are emitted once (src < dst); each split is written
+    as a sorted node-index list under its ``train_mask``/``test_mask``
+    key.
     """
     if seq.task_type is not TaskType.NODE:
         raise DatasetError(
@@ -55,8 +56,8 @@ def save_dataset(seq: TaskSequence, path: str) -> None:
     with open(os.path.join(path, "tasks.json"), "w") as f:
         json.dump({"tasks": [
             {"classes": list(t.classes),
-             "train_mask": [int(i) for i in t.train_nodes()],
-             "test_mask": [int(i) for i in t.test_nodes()]}
+             "train_mask": t.train.tolist(),
+             "test_mask": t.test.tolist()}
             for t in seq.tasks]}, f)
 
 
@@ -72,19 +73,18 @@ def _load_json(path: str, name: str) -> dict:
 
 
 def _parse_mask(raw, num_nodes: int, what: str) -> np.ndarray:
+    """A mask entry as sorted, distinct node indices: either a 0/1 list
+    over all nodes or a list of node indices, repeats allowed."""
     vals = list(raw)
-    mask = np.zeros(num_nodes, dtype=bool)
     if len(vals) == num_nodes and all(v in (0, 1, True, False)
                                       for v in vals):
-        mask[:] = np.asarray(vals, dtype=bool)
-        return mask
+        return np.flatnonzero(np.asarray(vals, dtype=bool))
     for v in vals:
         if not isinstance(v, int) or not 0 <= v < num_nodes:
             raise DatasetError(
                 f"tasks.json: {what} entry {v!r} is not a node index in "
                 f"[0, {num_nodes})")
-    mask[vals] = True
-    return mask
+    return np.unique(np.asarray(vals, dtype=np.int64))
 
 
 def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
@@ -179,15 +179,16 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
             test = _parse_mask(entry["test_mask"], num_nodes,
                                f"task {k} test_mask")
         else:
-            train = np.zeros(num_nodes, dtype=bool)
-            test = np.zeros(num_nodes, dtype=bool)
+            train, test = [], []
             for c in classes:
                 nodes = np.nonzero(label_arr == c)[0]
                 n_train = int(round(train_fraction * len(nodes)))
-                train[nodes[:n_train]] = True
-                test[nodes[n_train:]] = True
-        tasks.append(TaskSpec(task_index=k, classes=classes,
-                              train_mask=train, test_mask=test))
+                train.extend(nodes[:n_train])
+                test.extend(nodes[n_train:])
+            train = np.sort(np.asarray(train, dtype=np.int64))
+            test = np.sort(np.asarray(test, dtype=np.int64))
+        tasks.append(TaskSpec(task_index=k, classes=classes, train=train,
+                              test=test))
     try:
         return TaskSequence(task_type=TaskType.NODE, tasks=tasks,
                             graph=graph)
@@ -196,7 +197,7 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
 
 
 def sequences_equal(a: TaskSequence, b: TaskSequence) -> bool:
-    """Structural equality: same graph arrays, classes, and masks."""
+    """Structural equality: same graph arrays, classes, and splits."""
     if a.task_type is not b.task_type or a.num_tasks != b.num_tasks:
         return False
     ga, gb = a.graph, b.graph
@@ -210,7 +211,7 @@ def sequences_equal(a: TaskSequence, b: TaskSequence) -> bool:
     for ta, tb in zip(a.tasks, b.tasks):
         if ta.classes != tb.classes:
             return False
-        if not (np.array_equal(ta.train_mask, tb.train_mask)
-                and np.array_equal(ta.test_mask, tb.test_mask)):
+        if not (np.array_equal(ta.train, tb.train)
+                and np.array_equal(ta.test, tb.test)):
             return False
     return True

@@ -154,7 +154,6 @@ class NormalizedAdjacency:
         self.num_nodes = n
         self.edge_dst, self.edge_src = np.divmod(keys, n)
         self.row_ptr = graph.row_ptr + np.arange(n + 1)
-        self.col_idx = self.edge_src
         inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
         self.weights = inv_sqrt[self.edge_dst] * inv_sqrt[self.edge_src]
 
@@ -165,24 +164,32 @@ def normalize_adjacency(graph: Graph) -> NormalizedAdjacency:
 
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
-    """One task: its class set and the train/test membership.
+    """One task: its class set and its train/test split.
 
-    Node tasks use boolean masks over the shared graph's nodes; graph
-    tasks use index lists into the sequence's graph pool.
+    ``train`` and ``test`` are 1-D int64 index arrays without repeats:
+    nodes of the shared graph for node tasks, graphs of the pool for
+    graph tasks. They are checked and made read-only here, once; their
+    range against the graph or pool is checked by :class:`TaskSequence`.
     """
 
     task_index: int
     classes: Tuple[int, ...]
-    train_mask: Optional[np.ndarray] = None
-    test_mask: Optional[np.ndarray] = None
-    train_graphs: Tuple[int, ...] = ()
-    test_graphs: Tuple[int, ...] = ()
+    train: np.ndarray
+    test: np.ndarray
 
-    def train_nodes(self) -> np.ndarray:
-        return np.nonzero(self.train_mask)[0]
-
-    def test_nodes(self) -> np.ndarray:
-        return np.nonzero(self.test_mask)[0]
+    def __post_init__(self):
+        for name in ("train", "test"):
+            idx = np.asarray(getattr(self, name))
+            if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+                raise GraphError(
+                    f"task {self.task_index} {name} must be a 1-D integer "
+                    f"index array, got {idx.dtype} of shape {idx.shape}")
+            if len(np.unique(idx)) < len(idx):
+                raise GraphError(
+                    f"task {self.task_index} {name} repeats an index")
+            idx = idx.astype(np.int64)
+            idx.flags.writeable = False
+            object.__setattr__(self, name, idx)
 
 
 @dataclass
@@ -206,17 +213,18 @@ class TaskSequence:
         g = self.graph if self.graph is not None else self.graphs[0]
         return g.features.shape[1]
 
-    @property
-    def all_classes(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for t in self.tasks:
-            out.extend(t.classes)
-        return tuple(out)
-
     def validate(self) -> None:
         if not self.tasks:
             raise GraphError("a task sequence needs at least one task")
+        node = self.task_type is TaskType.NODE
+        if node and self.graph is None:
+            raise GraphError("node tasks need a shared graph")
+        if not node and not self.graphs:
+            raise GraphError("graph tasks need a graph pool")
+        size = self.graph.num_nodes if node else len(self.graphs)
+        what = "node" if node else "graph"
         seen: set = set()
+        used = np.zeros(size, dtype=bool)
         for k, t in enumerate(self.tasks):
             if t.task_index != k:
                 raise GraphError(f"task {k} has index {t.task_index}")
@@ -231,50 +239,22 @@ class TaskSequence:
                     f"task {k} classes {sorted(cs & seen)} reused from an "
                     "earlier task")
             seen |= cs
-        if self.task_type is TaskType.NODE:
-            if self.graph is None:
-                raise GraphError("node tasks need a shared graph")
-            labels = self.graph.labels
-            for t in self.tasks:
-                if t.train_mask is None or t.test_mask is None:
-                    raise GraphError(
-                        f"task {t.task_index} is missing node masks")
-                for name in ("train_mask", "test_mask"):
-                    m = getattr(t, name)
-                    if m.dtype != np.bool_ or m.shape != (
-                            self.graph.num_nodes,):
-                        raise GraphError(
-                            f"task {t.task_index} {name} must be boolean "
-                            f"over {self.graph.num_nodes} nodes")
-                if np.any(t.train_mask & t.test_mask):
-                    raise GraphError(
-                        f"task {t.task_index} train/test masks overlap")
-                cs = set(t.classes)
-                covered = t.train_mask | t.test_mask
-                bad = set(np.unique(labels[covered])) - cs
-                if bad:
-                    raise GraphError(
-                        f"task {t.task_index} masks include labels "
-                        f"{sorted(bad)} outside its class set")
-        else:
-            if not self.graphs:
-                raise GraphError("graph tasks need a graph pool")
-            used: set = set()
-            for t in self.tasks:
-                idx = set(t.train_graphs) | set(t.test_graphs)
-                if not idx:
-                    raise GraphError(f"task {t.task_index} has no graphs")
-                if set(t.train_graphs) & set(t.test_graphs):
-                    raise GraphError(
-                        f"task {t.task_index} train/test graphs overlap")
-                if idx & used:
-                    raise GraphError(
-                        f"task {t.task_index} reuses graphs from an "
-                        "earlier task")
-                if max(idx) >= len(self.graphs) or min(idx) < 0:
-                    raise GraphError(
-                        f"task {t.task_index} graph index out of range")
-                used |= idx
+            both = np.concatenate([t.train, t.test])
+            if both.size == 0:
+                raise GraphError(f"task {k} has no {what}s")
+            if both.min() < 0 or both.max() >= size:
+                raise GraphError(
+                    f"task {k} {what} index out of range [0, {size})")
+            if len(np.unique(both)) < len(both):
+                raise GraphError(f"task {k} train/test {what}s overlap")
+            bad = set(self.graph.labels[both].tolist()) - cs if node else ()
+            if bad:
+                raise GraphError(f"task {k} splits include labels "
+                                 f"{sorted(bad)} outside its class set")
+            if used[both].any():
+                raise GraphError(
+                    f"task {k} reuses {what}s from an earlier task")
+            used[both] = True
 
 
 def merge_graphs(graphs: Sequence[Graph]) -> Tuple[Graph, np.ndarray]:

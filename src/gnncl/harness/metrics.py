@@ -63,9 +63,9 @@ def evaluate(model: GnnModel, view: TaskView, j: int,
     logits, _ = model_forward(model, view.test_ctx(j), task)
     out = logits.data
     if view.node:
-        rows = task.test_nodes()
+        rows = task.test
         if rows.size == 0:
-            raise EmptyBatchError(f"task {j} has an empty test mask")
+            raise EmptyBatchError(f"task {j} has an empty test split")
         if metric == "auc":
             raise MetricError("AUC applies to binary graph tasks only")
         pred = np.argmax(out[rows], axis=1)

@@ -26,7 +26,7 @@ from ..graphs import (
     generate_sbm_tasks,
     load_dataset,
 )
-from ..nn import GnnModel, ModelConfig
+from ..nn import GnnModel, ModelConfig, finite_real
 from .metrics import METRICS, RMatrix, compute_ap_af, evaluate
 
 DATASET_KINDS = ("sbm", "graphs", "path")
@@ -71,20 +71,37 @@ def _resolve_section(name: str, raw: Mapping[str, Any],
 
 
 def resolve_dataset(raw: Mapping[str, Any]) -> Dict[str, Any]:
+    """A dataset section with its defaults filled in; ConfigError unless
+    every count is an integer >= 1, every other number is finite and
+    ``0 < train_fraction < 1``. Ranges that depend on other fields are
+    the generators' to check."""
     cfg = dict(raw)
     kind = cfg.pop("kind", "sbm")
     if kind not in DATASET_KINDS:
         raise ConfigError(
             f"dataset kind must be one of {DATASET_KINDS}, got '{kind}'")
     if kind == "sbm":
-        out = _resolve_section("dataset", cfg, SBM_DEFAULTS)
+        defaults = SBM_DEFAULTS
     elif kind == "graphs":
-        out = _resolve_section("dataset", cfg, GRAPHS_DEFAULTS)
+        defaults = GRAPHS_DEFAULTS
     else:
-        if "path" not in cfg:
-            raise ConfigError("dataset kind 'path' requires a 'path' field")
-        out = _resolve_section(
-            "dataset", cfg, {"path": None, "train_fraction": 0.6})
+        if not isinstance(cfg.get("path"), str):
+            raise ConfigError("dataset kind 'path' requires a 'path' string")
+        defaults = {"path": None, "train_fraction": 0.6}
+    out = _resolve_section("dataset", cfg, defaults)
+    for name, default in defaults.items():
+        value = out[name]
+        if isinstance(default, int) and (
+                not isinstance(value, (int, np.integer))
+                or isinstance(value, bool) or value < 1):
+            raise ConfigError(
+                f"dataset {name} must be an integer >= 1, got {value!r}")
+        if isinstance(default, float) and not finite_real(value):
+            raise ConfigError(
+                f"dataset {name} must be a finite number, got {value!r}")
+    if not 0 < out["train_fraction"] < 1:
+        raise ConfigError("dataset train_fraction must be in (0, 1), got "
+                          f"{out['train_fraction']!r}")
     out["kind"] = kind
     return out
 
@@ -198,13 +215,9 @@ def build_dataset(dataset: Mapping[str, Any], seed: int) -> TaskSequence:
 
 def build_model(seq: TaskSequence, model_cfg: ModelConfig,
                 seed: int) -> GnnModel:
-    if seq.task_type is TaskType.NODE:
-        in_dim = seq.graph.features.shape[1]
-    else:
-        in_dim = seq.graphs[0].features.shape[1]
     num_classes = max(c for t in seq.tasks for c in t.classes) + 1
     rng = np.random.default_rng([seed, 100])
-    return GnnModel(model_cfg, in_dim, num_classes, rng)
+    return GnnModel(model_cfg, seq.feature_dim, num_classes, rng)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from .model import (
     GnnModel,
     ModelConfig,
     class_columns,
+    finite_real,
     head_logits,
     model_forward,
     nonparam_attention,
@@ -22,7 +23,8 @@ from .model import (
 __all__ = [
     "AttentionSnapshot", "BACKBONES", "ForwardContext", "GatLayer",
     "GcnLayer", "GinLayer", "GnnModel", "ModelConfig", "ModelError",
-    "activation_fn", "class_columns", "head_logits", "load_checkpoint",
+    "activation_fn", "class_columns", "finite_real", "head_logits",
+    "load_checkpoint",
     "model_forward", "nonparam_attention", "read_blob", "save_checkpoint",
     "write_blob",
 ]

@@ -50,6 +50,9 @@ def read_blob(path: str, index: Sequence[dict]) -> Dict[str, np.ndarray]:
         raw = f.read()
     out: Dict[str, np.ndarray] = {}
     for entry in index:
+        if not isinstance(entry, dict):
+            raise ModelError(f"{os.path.basename(path)} index entry "
+                             f"{entry!r} is not an object")
         name, shape, start = (entry.get("name"), entry.get("shape"),
                               entry.get("offset"))
         if not (isinstance(shape, list) and all(map(_is_count, shape))
@@ -68,6 +71,33 @@ def read_blob(path: str, index: Sequence[dict]) -> Dict[str, np.ndarray]:
     return out
 
 
+def read_manifest(path: str, name: str, version: int,
+                  fields: Dict[str, type]) -> dict:
+    """The JSON object in file ``name`` under ``path``; :class:`ModelError`
+    if the file is missing or is not JSON, if the object's ``format`` is
+    not ``version``, or if a key of ``fields`` is missing or holds
+    another type than the one it maps to (a bool is not an int)."""
+    full = os.path.join(path, name)
+    if not os.path.exists(full):
+        raise ModelError(f"no {name} under {path}")
+    try:
+        with open(full) as f:
+            manifest = json.load(f)
+    except ValueError as e:
+        raise ModelError(f"{name} under {path} is not JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ModelError(f"{name} must hold a JSON object")
+    if manifest.get("format") != version:
+        raise ModelError(
+            f"unsupported {name} format {manifest.get('format')!r}")
+    for key, kind in fields.items():
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ModelError(f"{name} needs a {kind.__name__} as '{key}', "
+                             f"got {value!r}")
+    return manifest
+
+
 def save_checkpoint(model: GnnModel, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     index = write_blob(os.path.join(path, "params.bin"),
@@ -84,16 +114,18 @@ def save_checkpoint(model: GnnModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> GnnModel:
-    mpath = os.path.join(path, "manifest.json")
-    if not os.path.exists(mpath):
-        raise ModelError(f"no manifest.json under {path}")
-    with open(mpath) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != FORMAT_VERSION:
+    manifest = read_manifest(
+        path, "manifest.json", FORMAT_VERSION,
+        {"config": dict, "in_dim": int, "num_classes": int, "params": list})
+    dims = manifest["in_dim"], manifest["num_classes"]
+    if min(dims) < 1:
         raise ModelError(
-            f"unsupported checkpoint format {manifest.get('format')!r}")
-    model = GnnModel(ModelConfig(**manifest["config"]), manifest["in_dim"],
-                     manifest["num_classes"], np.random.default_rng(0))
+            f"manifest.json in_dim and num_classes must be >= 1, got {dims}")
+    try:
+        config = ModelConfig(**manifest["config"])
+    except TypeError as e:
+        raise ModelError(f"manifest.json config: {e}") from None
+    model = GnnModel(config, *dims, np.random.default_rng(0))
     arrays = read_blob(os.path.join(path, "params.bin"),
                        manifest["params"])
     model.load_state(arrays)

@@ -9,6 +9,7 @@ as an AttentionSnapshot for sensitivity analysis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,6 +44,12 @@ from .layers import GatLayer, GcnLayer, GinLayer, ModelError, glorot
 BACKBONES = ("gcn", "gat", "gin")
 
 
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite int or float; a bool is neither."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     backbone: str = "gat"
@@ -71,6 +78,14 @@ class ModelConfig:
             raise ModelError(
                 f"heads must be positive integers, got {self.heads!r}")
         object.__setattr__(self, "heads", tuple(int(h) for h in self.heads))
+        for name in ("attention_slope", "gin_eps"):
+            value = getattr(self, name)
+            if not finite_real(value):
+                raise ModelError(
+                    f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.gin_eps_learnable, bool):
+            raise ModelError("gin_eps_learnable must be true or false, got "
+                             f"{self.gin_eps_learnable!r}")
         if self.backbone == "gat" and len(self.heads) != self.num_layers:
             raise ModelError(
                 f"{self.num_layers} layers need {self.num_layers} head "

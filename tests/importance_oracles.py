@@ -17,6 +17,7 @@ from gnncl.continual.importance import (
     _abs_grads,
     snapshot_topo,
     task_loss_from_logits,
+    train_rows,
 )
 from gnncl.engine import (Tape, Tensor, add, backward, mul, square, sub,
                           sum_)
@@ -30,7 +31,7 @@ def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
     with Tape():
         logits, _ = model_forward(model, ctx, task)
         loss = task_loss_from_logits(logits, ctx, local_labels,
-                                     task.train_mask)
+                                     train_rows(ctx, task))
         grads = backward(loss, params)
     return _abs_grads(model, grads)
 

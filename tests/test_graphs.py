@@ -13,6 +13,7 @@ from gnncl.graphs import (
     Graph,
     GraphError,
     TaskSequence,
+    TaskSpec,
     TaskType,
     generate_graph_classification_tasks,
     generate_sbm_tasks,
@@ -355,9 +356,9 @@ def test_random_graph_edges_match_dense_oracle(seed, num_nodes):
 def test_sbm_split_sizes():
     seq = generate_sbm_tasks(2, 2, 10, 0.4, 0.1, 4, 0.1, seed=1)
     t = seq.tasks[0]
-    assert int(t.train_mask.sum()) == 12  # 60% of 20
-    assert int(t.test_mask.sum()) == 8
-    assert not np.any(t.train_mask & t.test_mask)
+    assert len(t.train) == 12  # 60% of 20
+    assert len(t.test) == 8
+    assert not set(t.train) & set(t.test)
 
 
 def test_sbm_validation():
@@ -394,13 +395,13 @@ def test_graph_tasks_structure():
     assert len(seq.graphs) == 60
     assert [t.classes for t in seq.tasks] == [(0,), (1,), (2,)]
     for t in seq.tasks:
-        pool = set(t.train_graphs) | set(t.test_graphs)
+        pool = set(t.train) | set(t.test)
         assert len(pool) == 20
-        assert not set(t.train_graphs) & set(t.test_graphs)
+        assert not set(t.train) & set(t.test)
     # labels match an independent recomputation of the rule
     for t in seq.tasks:
         kind = RULE_KINDS[t.task_index % len(RULE_KINDS)]
-        idx = list(t.train_graphs) + list(t.test_graphs)
+        idx = list(t.train) + list(t.test)
         stats = np.array([rule_statistic(seq.graphs[i], kind) for i in idx])
         med = float(np.median(stats))
         want = (stats > med).astype(np.int64)
@@ -434,6 +435,71 @@ def test_overlapping_class_sets_rejected():
                      graph=seq.graph, graphs=None)
 
 
+@pytest.mark.parametrize("train,match", [
+    (np.array([[0, 1]]), "1-D integer"),
+    (np.array([0.0, 1.0]), "1-D integer"),
+    (np.array([], dtype=float), "1-D integer"),
+    (np.array([3, 1, 3]), "repeats"),
+])
+def test_task_spec_refuses_malformed_splits(train, match):
+    with pytest.raises(GraphError, match=match):
+        TaskSpec(task_index=0, classes=(0,), train=train, test=np.arange(0))
+
+
+def test_task_spec_keeps_split_order_read_only():
+    t = TaskSpec(task_index=0, classes=(0,), train=[5, 2, 9],
+                 test=np.array([1], dtype=np.int32))
+    assert t.train.tolist() == [5, 2, 9] and t.train.dtype == np.int64
+    assert t.test.dtype == np.int64
+    with pytest.raises(ValueError):
+        t.train[0] = 1
+
+
+def _labeled_graph():
+    # 6 nodes, labels 0 0 1 1 2 2; task 0 owns classes (0, 1)
+    g = toy_graph(6, ((0, 1), (2, 3), (4, 5)))
+    g.labels[:] = [0, 0, 1, 1, 2, 2]
+    return g
+
+
+def _pool(n=4):
+    return [toy_graph(3, ((0, 1), (1, 2))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind,splits,match", [
+    ("node", [([0, 1], [6])], "out of range"),
+    ("node", [([0, 1], [-1])], "out of range"),
+    ("node", [([0, 1, 2], [2, 3])], "overlap"),
+    ("node", [([0, 1], [4])], "outside its class set"),
+    ("node", [([], [])], "no nodes"),
+    ("graph", [([0, 1], [4])], "out of range"),
+    ("graph", [([0, 1], [1])], "overlap"),
+    ("graph", [([0, 1], [2]), ([3], [0])], "reuses graphs"),
+])
+def test_task_sequence_refuses_bad_splits(kind, splits, match):
+    node = kind == "node"
+    classes = [(0, 1), (2,)] if node else [(0,), (1,)]
+    tasks = [TaskSpec(k, classes[k], np.array(tr, np.int64),
+                      np.array(te, np.int64))
+             for k, (tr, te) in enumerate(splits)]
+    data = (dict(task_type=TaskType.NODE, graph=_labeled_graph()) if node
+            else dict(task_type=TaskType.GRAPH, graphs=_pool()))
+    with pytest.raises(GraphError, match=match):
+        TaskSequence(tasks=tasks, **data)
+
+
+def test_task_sequence_accepts_valid_splits():
+    seq = TaskSequence(task_type=TaskType.GRAPH, graphs=_pool(), tasks=[
+        TaskSpec(0, (0,), np.array([2, 0]), np.array([3])),
+        TaskSpec(1, (1,), np.array([1]), np.array([], np.int64))])
+    assert seq.tasks[0].train.tolist() == [2, 0]  # order kept
+    seq = TaskSequence(
+        task_type=TaskType.NODE, graph=_labeled_graph(), tasks=[
+            TaskSpec(0, (0, 1), np.array([3, 0]), np.array([1, 2])),
+            TaskSpec(1, (2,), np.array([4]), np.array([5]))])
+    assert seq.feature_dim == 2
+
+
 # file formats ---------------------------------------------------------
 
 
@@ -460,8 +526,8 @@ def test_load_autosplit_when_masks_omitted(tmp_path):
     for c in (0, 1):
         nodes = np.nonzero(loaded.graph.labels == c)[0]
         cut = int(round(0.6 * len(nodes)))
-        assert np.all(t.train_mask[nodes[:cut]])
-        assert np.all(t.test_mask[nodes[cut:]])
+        assert set(nodes[:cut]) <= set(t.train)
+        assert set(nodes[cut:]) <= set(t.test)
 
 
 def test_load_rejects_overlapping_classes(tmp_path):
@@ -527,3 +593,28 @@ def test_features_roundtrip_exactly(tmp_path):
     save_dataset(seq, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     assert np.array_equal(seq.graph.features, loaded.graph.features)
+
+
+def test_tasks_json_mask_forms_load_sorted_and_round_trip(tmp_path):
+    seq = generate_sbm_tasks(4, 2, 5, 0.5, 0.1, 3, 0.2, seed=4)
+    save_dataset(seq, tmp_path / "ds")
+    import json
+    p = tmp_path / "ds" / "tasks.json"
+    spec = json.loads(p.read_text())
+    n = seq.graph.num_nodes
+    task0 = seq.tasks[0]
+    # task 0: a 0/1 list over all nodes and an unsorted list with a repeat
+    flags = [0] * n
+    for i in task0.train:
+        flags[int(i)] = 1
+    spec["tasks"][0]["train_mask"] = flags
+    test = [int(i) for i in task0.test]
+    spec["tasks"][0]["test_mask"] = test[::-1] + [test[0]]
+    p.write_text(json.dumps(spec))
+    loaded = load_dataset(tmp_path / "ds")
+    got = loaded.tasks[0]
+    assert got.train.tolist() == sorted(task0.train.tolist())
+    assert got.test.tolist() == sorted(set(test))
+    assert sequences_equal(seq, loaded)
+    save_dataset(loaded, tmp_path / "again")
+    assert sequences_equal(loaded, load_dataset(tmp_path / "again"))

@@ -170,6 +170,52 @@ class TestRunConfig:
         for key, val in SBM_DEFAULTS.items():
             assert cfg.dataset[key] == val
 
+    @pytest.mark.parametrize("section,kind,name,value", [
+        ("strategy", "TWP", "beta", float("nan")),
+        ("strategy", "TWP", "lambda_l", True),
+        ("strategy", "TWP", "lambda_t", "1"),
+        ("strategy", "EWC", "lambda_reg", float("inf")),
+        ("strategy", "LWF", "distill_temperature", float("nan")),
+        ("strategy", "FINETUNE", "lr", float("nan")),
+        ("strategy", "FINETUNE", "lr", float("inf")),
+        ("model", "gin", "gin_eps", float("nan")),
+        ("model", "gin", "gin_eps_learnable", "no"),
+        ("model", "gin", "gin_eps_learnable", 1),
+        ("model", "gat", "attention_slope", "x"),
+        ("model", "gat", "attention_slope", float("-inf")),
+    ])
+    def test_config_numbers_must_be_finite_reals(self, section, kind, name,
+                                                 value):
+        # NaN or infinite knobs used to train on, or to be silently off,
+        # and a bool or string reached the arithmetic unconverted
+        raw = toy_cfg()
+        key = "kind" if section == "strategy" else "backbone"
+        raw[section] = {key: kind, name: value}
+        with pytest.raises(ConfigError, match=name):
+            run_config_from_dict(raw)
+
+    @pytest.mark.parametrize("kind,name,value", [
+        ("sbm", "train_fraction", -0.2),
+        ("sbm", "train_fraction", 1.5),
+        ("sbm", "train_fraction", 0.0),
+        ("graphs", "train_fraction", 1.0),
+        ("sbm", "noise_sigma", float("nan")),
+        ("sbm", "p_in", "0.3"),
+        ("sbm", "nodes_per_class", 2.5),
+        ("sbm", "feature_dim", 0),
+        ("sbm", "num_classes", True),
+        ("graphs", "graphs_per_task", -4),
+        ("graphs", "nodes_min", None),
+        ("path", "path", 7),
+        ("path", "train_fraction", float("inf")),
+    ])
+    def test_dataset_section_checked_on_entry(self, kind, name, value):
+        raw = {"kind": kind, name: value}
+        if kind == "path" and name != "path":
+            raw["path"] = "data"
+        with pytest.raises(ConfigError, match=name):
+            run_config_from_dict({"dataset": raw})
+
     def test_bad_strategy_field_rejected(self):
         raw = toy_cfg()
         raw["strategy"] = {"kind": "FINETUNE", "momentum": 0.9}

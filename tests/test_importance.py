@@ -36,10 +36,8 @@ def node_setup(backbone="gat", seed=0, n=8, d=3, **model_fields):
     labels = rng.integers(0, 2, size=n)
     g = graph_from_edges(n, np.stack([src, dst], 1), feats, labels)
     ctx = ForwardContext.for_graph(g)
-    train = np.zeros(n, dtype=bool)
-    train[: n // 2] = True
-    task = TaskSpec(task_index=0, classes=(0, 1), train_mask=train,
-                    test_mask=~train)
+    task = TaskSpec(task_index=0, classes=(0, 1),
+                    train=np.arange(n // 2), test=np.arange(n // 2, n))
     heads = (2, 1) if backbone == "gat" else (1, 1)
     model = GnnModel(ModelConfig(backbone=backbone, hidden_dim=4,
                                  heads=heads, **model_fields), d, 2,
@@ -51,7 +49,7 @@ def node_setup(backbone="gat", seed=0, n=8, d=3, **model_fields):
 def capacity(model, ctx, task, local, lambda_l, lambda_t, beta):
     """The capacity term on one fresh forward of ``task``."""
     logits, snap = model_forward(model, ctx, task, want_attention=True)
-    loss = task_loss_from_logits(logits, ctx, local, task.train_mask)
+    loss = task_loss_from_logits(logits, ctx, local, task.train)
     return capacity_regularizer(model, loss, snapshot_topo(snap, ctx, task),
                                 lambda_l, lambda_t, beta)
 
@@ -64,7 +62,7 @@ def test_loss_importance_matches_finite_differences():
         with Tape():
             logits, _ = model_forward(model, ctx, task)
             return task_loss_from_logits(logits, ctx, local,
-                                         task.train_mask).item()
+                                         task.train).item()
 
     for name, p in model.named_parameters():
         numeric = np.abs(central_diff(loss_value, [p.data])[0])
@@ -370,4 +368,48 @@ def test_malformed_records_index_rejected(tmp_path, field, value):
     entry[field] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelError, match="0.snap.layers.0.W"):
+        load_records(tmp_path / "recs")
+
+
+
+def _set_first_record(**fields):
+    return lambda m: m["records"][0].update(fields)
+
+
+def _drop_from_first_record(key):
+    return lambda m: m["records"][0].pop(key)
+
+
+@pytest.mark.parametrize("text,edit", [
+    ("", None),  # no records.json at all
+    ('{"format": 2, "records": [', None),
+    ("[2]", None),
+    (None, lambda m: m.pop("records")),
+    (None, lambda m: m.update(records=7)),
+    (None, _drop_from_first_record("task_index")),
+    (None, _drop_from_first_record("params")),
+    (None, _set_first_record(task_index="0")),
+    (None, lambda m: m["index"].__setitem__(0, "x")),
+], ids=["no manifest", "not json", "not an object", "no records",
+        "records not a list", "no task_index", "no params",
+        "string task_index", "index entry"])
+def test_malformed_records_manifest_rejected(tmp_path, text, edit):
+    # each case used to raise KeyError, TypeError, JSONDecodeError or
+    # FileNotFoundError, or to load a string task index
+    import json
+
+    model, ctx, task, local = node_setup("gcn", seed=12)
+    i_loss, i_ts = compute_importance(model, ctx, task, local)
+    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+                 tmp_path / "recs")
+    path = tmp_path / "recs" / "records.json"
+    if text == "":
+        path.unlink()
+    elif text is not None:
+        path.write_text(text)
+    else:
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelError):
         load_records(tmp_path / "recs")

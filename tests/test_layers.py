@@ -155,8 +155,7 @@ def test_head_masking_selects_columns(rng):
                      np.random.default_rng(6))
     from gnncl.graphs import TaskSpec
     task = TaskSpec(task_index=0, classes=(2, 5),
-                    train_mask=np.ones(7, dtype=bool),
-                    test_mask=np.zeros(7, dtype=bool))
+                    train=np.arange(7), test=np.arange(0))
     with Tape():
         masked, _ = model_forward(model, ctx, task)
         emb, _ = model.forward_embeddings(ctx)
@@ -476,4 +475,38 @@ def test_malformed_checkpoint_index_rejected(tmp_path, field, value):
     entry[field] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelError, match="layers.0.W"):
+        load_checkpoint(tmp_path / "ck")
+
+
+
+@pytest.mark.parametrize("text,key,value", [
+    ('{"format": 2,', None, None),
+    ('"manifest"', None, None),
+    (None, "in_dim", None),
+    (None, "params", None),
+    (None, "in_dim", "3"),
+    (None, "num_classes", True),
+    (None, "in_dim", -3),
+    (None, "config", ["gcn"]),
+    (None, "config", {"backbone": "gcn", "depth": 2}),
+    (None, "params", {"layers.0.W": 0}),
+], ids=["not json", "not an object", "no in_dim", "no params",
+        "string in_dim", "bool num_classes", "negative in_dim",
+        "config not an object", "unknown config key", "params not a list"])
+def test_malformed_checkpoint_manifest_rejected(tmp_path, text, key, value):
+    # each case used to raise KeyError, TypeError or JSONDecodeError;
+    # a value of None drops the key
+    model = GnnModel(ModelConfig(backbone="gcn", hidden_dim=4), 3, 2,
+                     np.random.default_rng(16))
+    save_checkpoint(model, tmp_path / "ck")
+    path = tmp_path / "ck" / "manifest.json"
+    if text is None:
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        text = json.dumps(manifest)
+    path.write_text(text)
+    with pytest.raises(ModelError):
         load_checkpoint(tmp_path / "ck")

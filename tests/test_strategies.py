@@ -88,6 +88,33 @@ class TestReductions:
             assert np.array_equal(arr, _params(mas)[n]), n
 
 
+class TestAnchorPath:
+    @pytest.mark.parametrize("kind", ["EWC", "MAS", "TWP"])
+    def test_objective_without_records_is_the_task_loss(self, kind):
+        # before the first record no penalty is added, not even a zero
+        seq, view, mc = _toy(backbone="gat")
+        model = build_model(seq, mc, 3)
+        beta = 1e-3 if kind == "TWP" else 0.0
+        strat = make_strategy(StrategyConfig(kind=kind, beta=beta),
+                              model, view, 3)
+        assert strat.records == []
+        with Tape() as tape:
+            got = strat.objective(0)
+            got_nodes = len(tape)
+        with Tape() as tape:
+            loss, snap = view.train_loss(model, 0,
+                                         want_attention=kind == "TWP")
+            want = loss
+            if kind == "TWP":
+                want = add(loss, capacity_regularizer(
+                    model, loss, snapshot_topo(snap, view.train_ctx(0),
+                                               seq.tasks[0]),
+                    strat.cfg.lambda_l, strat.cfg.lambda_t, beta))
+            want_nodes = len(tape)
+        assert got.item() == want.item()
+        assert got_nodes == want_nodes
+
+
 class TestEwcFreezeLimit:
     def test_minimizer_displacement_vanishes(self):
         # for loss (w-a)^2 anchored by lambda*F*(w-w*)^2 the minimizer
@@ -136,11 +163,10 @@ class TestLwf:
                               model, view, 3)
         strat.train_task(0)
         teacher0 = strat.teacher
-        teacher_snap = _params(teacher0.model)
-        assert teacher0.tasks_seen == 1
+        teacher_snap = _params(teacher0)
         strat.train_task(1)
         # the teacher that guided task 1 was never itself trained
-        for n, arr in _params(teacher0.model).items():
+        for n, arr in _params(teacher0).items():
             assert np.array_equal(arr, teacher_snap[n]), n
         # and a fresh teacher replaced it afterwards
         assert strat.teacher is not teacher0
@@ -155,9 +181,8 @@ class TestLwf:
                               model, view, 3)
         strat.train_task(0)
         strat.train_task(1)
-        assert strat.teacher.tasks_seen == 2
         for n, p in model.named_parameters():
-            assert np.array_equal(p.data, _params(strat.teacher.model)[n])
+            assert np.array_equal(p.data, _params(strat.teacher)[n])
 
 
 class TestJoint:
@@ -186,7 +211,6 @@ class TestGemBookkeeping:
             strat.train_task(0)
             mems.append(strat.memory[0])
         assert np.array_equal(mems[0].indices, mems[1].indices)
-        assert np.array_equal(mems[0].labels, mems[1].labels)
 
     def test_memory_size_capped_by_train_set(self):
         seq, view, mc = _toy()
@@ -195,8 +219,7 @@ class TestGemBookkeeping:
             StrategyConfig(kind="GEM", memory_per_task=10 ** 6, epochs=3),
             model, view, 3)
         strat.train_task(0)
-        assert len(strat.memory[0].indices) == len(
-            seq.tasks[0].train_nodes())
+        assert len(strat.memory[0].indices) == len(seq.tasks[0].train)
 
     def test_memory_indices_come_from_task_train_nodes(self):
         seq, view, mc = _toy()
@@ -207,7 +230,7 @@ class TestGemBookkeeping:
         strat.train_task(0)
         strat.train_task(1)
         for k, mem in enumerate(strat.memory):
-            assert set(mem.indices) <= set(seq.tasks[k].train_nodes())
+            assert set(mem.indices) <= set(seq.tasks[k].train)
 
 
 class TestTrainingLoop:
@@ -348,7 +371,7 @@ class TestTwpCapacityModes:
                                          want_attention=True)
             cap = capacity_regularizer(
                 model, task_loss_from_logits(logits, ctx, view.labels(1),
-                                             task.train_mask),
+                                             task.train),
                 snapshot_topo(snap, ctx, task), cfg.lambda_l, cfg.lambda_t,
                 cfg.beta)
             want = add(add(loss, pen), cap).item()

@@ -93,8 +93,8 @@ def task_loss_from_logits(logits: Tensor, ctx: ForwardContext,
     """The task loss: cross entropy of class-local node labels, or the
     sigmoid loss of each pooled graph against ``ctx.graph_labels``.
 
-    ``rows`` restricts the loss to some nodes (a boolean mask or row
-    indices) or to some pooled graphs (row indices); all rows by default.
+    ``rows`` restricts the loss to the rows of these indices, nodes or
+    pooled graphs; all rows by default.
     """
     if ctx.node_to_graph is None:
         return cross_entropy(logits, local_labels, rows)

@@ -8,8 +8,9 @@ anchor path and differ only in how they score a task's importance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,11 +53,12 @@ from .importance import (
     compute_importance,
     snapshot_topo,
     task_loss_from_logits,
-    train_rows,
     twp_penalty,
 )
 
 STRATEGY_KINDS = ("FINETUNE", "JOINT", "EWC", "MAS", "LWF", "GEM", "TWP")
+
+Scored = Tuple[int, ForwardContext, Optional[np.ndarray]]  # see losses
 
 
 class ConfigError(ValueError):
@@ -134,49 +136,58 @@ class TaskView:
                 [self.seq.graphs[i] for i in key])
         return ctx
 
+    def split(self, idx: np.ndarray
+              ) -> Tuple[ForwardContext, Optional[np.ndarray]]:
+        """The context and rows scoring examples ``idx``: rows ``idx`` of
+        the shared graph's context (node tasks; their neighbours stay
+        visible), or all rows (None) of the graphs ``idx`` pooled."""
+        return (self.ctx, idx) if self.node else (self.pool_ctx(idx), None)
+
     def train_ctx(self, k: int) -> ForwardContext:
-        return self.ctx if self.node else self.pool_ctx(
-            self.seq.tasks[k].train)
+        return self.split(self.seq.tasks[k].train)[0]
 
-    def test_ctx(self, k: int) -> ForwardContext:
-        return self.ctx if self.node else self.pool_ctx(
-            self.seq.tasks[k].test)
-
-    def train_rows(self, k: int) -> Optional[np.ndarray]:
-        """Task k's training rows of its training context; None for
-        all of them (see :func:`train_rows`)."""
-        return train_rows(self.train_ctx(k), self.seq.tasks[k])
+    def train_item(self, k: int) -> Scored:
+        """Task k's training examples as one (task, context, rows)."""
+        return (k,) + self.split(self.seq.tasks[k].train)
 
     def labels(self, k: int) -> Optional[np.ndarray]:
         """Class-local node labels of task k; None for graph tasks,
         whose labels travel on their pooled contexts."""
         return self.local_labels[k] if self.node else None
 
+    def losses(self, model: GnnModel, scored: Sequence[Scored],
+               want_attention: bool = False):
+        """The loss of each (task, context, rows) in ``scored``, from one
+        forward per distinct context: each loss scores a ``take_cols``
+        slice of that forward's head logits. Returns the losses, then
+        the head logits and attention snapshot of the first context."""
+        forwards = {}
+        out = []
+        for k, ctx, rows in scored:
+            if id(ctx) not in forwards:
+                emb, snap = model.forward_embeddings(ctx, want_attention)
+                forwards[id(ctx)] = head_logits(model, ctx, emb), snap
+            logits = take_cols(forwards[id(ctx)][0], class_columns(
+                model, self.seq.tasks[k].classes))
+            out.append(task_loss_from_logits(logits, ctx, self.labels(k),
+                                             rows))
+        return (out,) + forwards[id(scored[0][1])]
+
     def train_loss(self, model: GnnModel, k: int,
                    want_attention: bool = False):
         """Full-batch training loss for task k; returns (loss, snapshot)."""
-        ctx, task = self.train_ctx(k), self.seq.tasks[k]
-        logits, snap = model_forward(model, ctx, task, want_attention)
-        loss = task_loss_from_logits(logits, ctx, self.labels(k),
-                                     train_rows(ctx, task))
+        (loss,), _, snap = self.losses(model, [self.train_item(k)],
+                                       want_attention)
         return loss, snap
 
 
 @dataclass
 class EpisodicMemory:
-    """Stored examples of one finished task and the context they are
-    scored on.
-
-    ``indices`` name the remembered nodes or pool graphs. Node tasks
-    score ``rows`` (the remembered nodes) of the shared graph's context,
-    so the structure stays visible. Graph tasks keep a context pooled
-    over the remembered graphs, scored whole (``rows`` None).
-    """
+    """Remembered examples of a finished task: ``indices`` name nodes or
+    pool graphs, scored as :meth:`TaskView.split` lays them out."""
 
     task_index: int
     indices: np.ndarray
-    ctx: ForwardContext
-    rows: Optional[np.ndarray] = None
 
 
 class Strategy:
@@ -214,10 +225,11 @@ class Strategy:
         best = np.inf
         wait = 0
         for _ in range(self.cfg.epochs):
+            # inside the tape: loss holds it weakly and GEM sweeps it again
             with Tape():
                 loss = self.objective(k)
-                grads = backward(loss, self.params)
-            grads = self.transform_grads(k, grads)
+                grads = self.transform_grads(
+                    k, backward(loss, self.params))
             opt.step(grads)
             val = loss.item()
             curve.append(val)
@@ -245,11 +257,9 @@ class JointStrategy(Strategy):
     kind = "JOINT"
 
     def objective(self, k: int) -> Tensor:
-        total: Optional[Tensor] = None
-        for t in range(k + 1):
-            loss, _ = self.view.train_loss(self.model, t)
-            total = loss if total is None else add(total, loss)
-        return total
+        losses, _, _ = self.view.losses(
+            self.model, [self.view.train_item(t) for t in range(k + 1)])
+        return functools.reduce(add, losses)
 
 
 class AnchorStrategy(Strategy):
@@ -284,8 +294,7 @@ class AnchorStrategy(Strategy):
     def importance(self, k: int) -> ArraySet:
         named = self.model.named_parameters()
         acc = {name: np.zeros(p.shape) for name, p in named}
-        ctx = self.view.train_ctx(k)
-        rows = self.view.train_rows(k)
+        _, ctx, rows = self.view.train_item(k)
         with Tape():
             logits, _ = model_forward(self.model, ctx, self.view.seq.tasks[k])
             if rows is None:
@@ -345,8 +354,7 @@ class LwfStrategy(Strategy):
         if self.teacher is None:
             return
         tau = self.cfg.distill_temperature
-        ctx = self.view.train_ctx(k)
-        rows = self.view.train_rows(k)
+        _, ctx, rows = self.view.train_item(k)
         emb, _ = self.teacher.forward_embeddings(ctx)
         full = head_logits(self.teacher, ctx, emb).data
         for t in range(k):
@@ -361,14 +369,9 @@ class LwfStrategy(Strategy):
             self._soft_targets.append(probs)
 
     def objective(self, k: int) -> Tensor:
-        ctx = self.view.train_ctx(k)
-        rows = self.view.train_rows(k)
-        emb, _ = self.model.forward_embeddings(ctx)
-        full = head_logits(self.model, ctx, emb)
-        now_logits = take_cols(full, class_columns(
-            self.model, self.view.seq.tasks[k].classes))
-        total = task_loss_from_logits(now_logits, ctx, self.view.labels(k),
-                                      rows)
+        item = self.view.train_item(k)
+        (total,), full, _ = self.view.losses(self.model, [item])
+        rows = item[2]
         tau = self.cfg.distill_temperature
         for t, probs in enumerate(self._soft_targets):
             s_logits = take_cols(full, class_columns(
@@ -397,22 +400,28 @@ class GemStrategy(Strategy):
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
         self.memory: List[EpisodicMemory] = []
+        self._memory_losses: List[Tensor] = []
 
-    def _memory_grad(self, mem: EpisodicMemory) -> np.ndarray:
-        k = mem.task_index
-        with Tape():
-            logits, _ = model_forward(self.model, mem.ctx,
-                                      self.view.seq.tasks[k])
-            loss = task_loss_from_logits(logits, mem.ctx,
-                                         self.view.labels(k), mem.rows)
-            grads = backward(loss, self.params)
-        return flat_concat([grads[p] for p in self.params]).data
+    def objective(self, k: int) -> Tensor:
+        """The task loss; every memory's loss is recorded with it."""
+        scored = [self.view.train_item(k)] + [
+            (m.task_index,) + self.view.split(m.indices) for m in self.memory]
+        losses, _, _ = self.view.losses(self.model, scored)
+        self._memory_losses = losses[1:]
+        return losses[0]
 
     def transform_grads(self, k: int, grads: GradientMap) -> GradientMap:
+        """Projects ``grads`` against each memory loss's gradient, one
+        more backward sweep over the objective's tape per memory."""
         if not self.memory:
             return grads
-        g = flat_concat([grads[p] for p in self.params]).data
-        mem = np.stack([self._memory_grad(m) for m in self.memory])
+
+        def flat(gmap: GradientMap) -> np.ndarray:
+            return flat_concat([gmap[p] for p in self.params]).data
+
+        g = flat(grads)
+        mem = np.stack([flat(backward(loss, self.params))
+                        for loss in self._memory_losses])
         if np.all(mem @ g >= 0.0):
             return grads
         pieces = flat_split(gem_project(g, mem),
@@ -424,11 +433,7 @@ class GemStrategy(Strategy):
         train = self.view.seq.tasks[k].train
         take = min(self.cfg.memory_per_task, len(train))
         idx = np.sort(rng.choice(train, size=take, replace=False))
-        if self.view.node:
-            mem = EpisodicMemory(k, idx, self.view.ctx, rows=idx)
-        else:
-            mem = EpisodicMemory(k, idx, self.view.pool_ctx(idx))
-        self.memory.append(mem)
+        self.memory.append(EpisodicMemory(k, idx))
 
 
 class TwpStrategy(AnchorStrategy):

@@ -31,7 +31,7 @@ from .tensor import (
     active_tape,
     as_tensor,
 )
-from .segments import SegmentPlan, check_index
+from .segments import SegmentPlan
 
 
 def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
@@ -749,31 +749,18 @@ def log_softmax(logits: Tensor) -> Tensor:
     return sub(z, lse)
 
 
-def cross_entropy(logits: Tensor, labels, mask=None) -> Tensor:
+def cross_entropy(logits: Tensor, labels, rows=None) -> Tensor:
     """Mean negative log likelihood of integer ``labels`` under ``logits``.
 
-    ``mask`` optionally restricts the mean to a subset of rows, given
-    either as a boolean vector over rows or as row indices.
+    ``rows`` optionally restricts the mean to the rows of these indices.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
     labels = np.asarray(labels)
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype == np.bool_:
-            if mask.shape != (logits.shape[0],):
-                raise ShapeError(
-                    f"boolean mask of shape {mask.shape} does not cover "
-                    f"{logits.shape[0]} rows")
-            idx = np.nonzero(mask)[0]
-        else:
-            idx = check_index(mask, logits.shape[0], ShapeError,
-                              "row index")
-        if idx.size == 0:
-            raise EmptyBatchError("cross_entropy mask selects zero rows")
-        logits = gather_rows(logits, idx)
-        labels = labels[idx]
+    if rows is not None:
+        logits = gather_rows(logits, rows)
+        labels = labels[rows]
     n, c = logits.shape
     if n == 0:
         raise EmptyBatchError("cross_entropy over zero rows")

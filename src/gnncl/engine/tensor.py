@@ -125,8 +125,8 @@ class Tensor:
     """A dense float64 array, optionally linked to a node on a tape.
 
     Tensors with ``requires_grad=False`` are plain values; they are never
-    differentiation targets and record nothing. Operator overloads are
-    attached by :mod:`gnncl.engine.ops`.
+    differentiation targets and record nothing. Operations on tensors
+    are the functions of :mod:`gnncl.engine.ops`.
     """
 
     __slots__ = ("data", "requires_grad", "is_leaf", "_tape", "_node_id",

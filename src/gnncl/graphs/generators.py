@@ -91,6 +91,8 @@ def generate_sbm_tasks(num_classes: int, classes_per_task: int,
             raise GraphError(f"{name}={p} outside [0, 1]")
     if p_in <= p_out:
         raise GraphError("p_in must exceed p_out")
+    if noise_sigma < 0:
+        raise GraphError(f"noise_sigma={noise_sigma} must be >= 0")
 
     n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes), nodes_per_class)

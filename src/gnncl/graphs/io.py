@@ -74,13 +74,14 @@ def _load_json(path: str, name: str) -> dict:
 
 def _parse_mask(raw, num_nodes: int, what: str) -> np.ndarray:
     """A mask entry as sorted, distinct node indices: either a 0/1 list
-    over all nodes or a list of node indices, repeats allowed."""
+    over all nodes or a list of node indices (ints, so no bools),
+    repeats allowed."""
     vals = list(raw)
     if len(vals) == num_nodes and all(v in (0, 1, True, False)
                                       for v in vals):
         return np.flatnonzero(np.asarray(vals, dtype=bool))
     for v in vals:
-        if not isinstance(v, int) or not 0 <= v < num_nodes:
+        if type(v) is not int or not 0 <= v < num_nodes:
             raise DatasetError(
                 f"tasks.json: {what} entry {v!r} is not a node index in "
                 f"[0, {num_nodes})")
@@ -162,7 +163,12 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
     for k, entry in enumerate(tspec["tasks"]):
         if "classes" not in entry:
             raise DatasetError(f"tasks.json: task {k} missing 'classes'")
-        classes = tuple(int(c) for c in entry["classes"])
+        classes = entry["classes"]
+        if not isinstance(classes, list) or any(
+                type(c) is not int for c in classes):
+            raise DatasetError(f"tasks.json: task {k} classes must be a "
+                               f"list of integers, got {classes!r}")
+        classes = tuple(classes)
         bad = [c for c in classes if c < 0 or c > int(label_arr.max())]
         if bad:
             raise DatasetError(

@@ -60,17 +60,17 @@ def evaluate(model: GnnModel, view: TaskView, j: int,
     if metric not in METRICS:
         raise MetricError(f"unknown metric '{metric}'")
     task = view.seq.tasks[j]
-    logits, _ = model_forward(model, view.test_ctx(j), task)
+    ctx, rows = view.split(task.test)
+    logits, _ = model_forward(model, ctx, task)
     out = logits.data
     if view.node:
-        rows = task.test
         if rows.size == 0:
             raise EmptyBatchError(f"task {j} has an empty test split")
         if metric == "auc":
             raise MetricError("AUC applies to binary graph tasks only")
         pred = np.argmax(out[rows], axis=1)
         return accuracy(pred, view.local_labels[j][rows])
-    labels = view.test_ctx(j).graph_labels.astype(np.int64)
+    labels = ctx.graph_labels.astype(np.int64)
     scores = out[:, 0]
     if metric == "auc":
         return auc_score(scores, labels)

@@ -368,6 +368,8 @@ def test_sbm_validation():
         generate_sbm_tasks(4, 2, 10, 0.1, 0.3, 4, 0.1, seed=0)
     with pytest.raises(GraphError):
         generate_sbm_tasks(4, 2, 10, 1.3, 0.1, 4, 0.1, seed=0)
+    with pytest.raises(GraphError, match="noise_sigma"):
+        generate_sbm_tasks(4, 2, 10, 0.3, 0.1, 4, -0.5, seed=0)
 
 
 def test_noiseless_separated_sbm_features():
@@ -543,6 +545,25 @@ def test_load_rejects_overlapping_classes(tmp_path):
     spec["tasks"][1]["classes"] = [2, 3, 3]
     p.write_text(json.dumps(spec))
     with pytest.raises(DatasetError, match="repeat"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("task,field,value", [
+    (0, "train_mask", [True, 3]),       # a bool is not node 1
+    (1, "classes", [2.7, "3"]),         # not truncated or parsed
+    (1, "classes", [2.0, 3]),
+    (0, "classes", [False, True]),      # not classes 0 and 1
+    (0, "classes", 1),
+])
+def test_load_rejects_non_integer_entries(tmp_path, task, field, value):
+    seq = generate_sbm_tasks(4, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
+    save_dataset(seq, tmp_path / "ds")
+    import json
+    p = tmp_path / "ds" / "tasks.json"
+    spec = json.loads(p.read_text())
+    spec["tasks"][task][field] = value
+    p.write_text(json.dumps(spec))
+    with pytest.raises(DatasetError, match="tasks.json"):
         load_dataset(tmp_path / "ds")
 
 

@@ -12,6 +12,7 @@ from gnncl.continual.strategies import (
     StrategyConfig,
     TwpStrategy,
 )
+from gnncl.graphs import GraphError
 from gnncl.harness.runner import (
     ABLATION_PRESET,
     SBM_DEFAULTS,
@@ -224,6 +225,14 @@ class TestRunConfig:
 
 
 class TestRunSequence:
+    def test_negative_noise_sigma_refused(self):
+        # a negative sigma used to train on noiseless features
+        raw = toy_cfg()
+        raw["dataset"]["noise_sigma"] = -0.5
+        cfg = run_config_from_dict(raw)
+        with pytest.raises(GraphError, match="noise_sigma"):
+            run_sequence(cfg)
+
     def test_artifacts_and_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         res_a = run_sequence(run_config_from_dict(

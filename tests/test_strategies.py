@@ -5,6 +5,7 @@ import pytest
 
 from gnncl.continual import (
     capacity_regularizer,
+    gem_project,
     snapshot_topo,
     task_loss_from_logits,
     twp_penalty,
@@ -197,6 +198,83 @@ class TestJoint:
         from gnncl.harness.metrics import evaluate
         for k in range(2):
             assert evaluate(model, view, k, "accuracy") >= 0.9
+
+
+# three tasks each, so task 2 is scored with two earlier tasks
+THREE_TASKS = {"sbm": dict(TOY_DS, num_classes=6),
+               "graphs": dict(GRAPHS_DS, num_tasks=3)}
+
+
+class TestOneForwardPerContext:
+    """JOINT and GEM score every task they train on, or remember, from
+    one forward of each context per epoch."""
+
+    @staticmethod
+    def _strategy(kind, dataset, epochs=3):
+        seq = build_dataset(THREE_TASKS[dataset], 3)
+        view = TaskView(seq)
+        model = build_model(seq, ModelConfig(backbone="gin", hidden_dim=8),
+                            3)
+        strat = make_strategy(
+            StrategyConfig(kind=kind, epochs=epochs, memory_per_task=4),
+            model, view, 3)
+        strat.train_task(0)
+        strat.train_task(1)
+        return seq, view, model, strat
+
+    @pytest.mark.parametrize("kind", ["JOINT", "GEM"])
+    def test_node_tasks_run_one_forward_per_epoch(self, kind, monkeypatch):
+        _, _, _, strat = self._strategy(kind, "sbm", epochs=2)
+        calls = []
+        forward = GnnModel.forward_embeddings
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(GnnModel, "forward_embeddings", counted)
+        strat.train_task(2)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("dataset", ["sbm", "graphs"])
+    def test_joint_objective_equals_the_per_task_forward_sum(self, dataset):
+        _, view, model, strat = self._strategy("JOINT", dataset)
+        with Tape():
+            got = strat.objective(2).item()
+        with Tape():
+            want = view.train_loss(model, 0)[0]
+            for t in (1, 2):
+                want = add(want, view.train_loss(model, t)[0])
+        assert got == want.item()
+
+    @pytest.mark.parametrize("dataset", ["sbm", "graphs"])
+    def test_gem_step_matches_separate_tapes(self, dataset):
+        seq, view, model, strat = self._strategy("GEM", dataset)
+        params = model.parameters()
+
+        def flat(grads):
+            return np.concatenate([grads[p].data.ravel() for p in params])
+
+        want_mem = []
+        for m in strat.memory:
+            ctx, rows = view.split(m.indices)
+            with Tape():
+                logits, _ = model_forward(model, ctx,
+                                          seq.tasks[m.task_index])
+                want_mem.append(flat(backward(task_loss_from_logits(
+                    logits, ctx, view.labels(m.task_index), rows),
+                    params)))
+        want_mem = np.stack(want_mem)
+        with Tape():
+            g = flat(backward(view.train_loss(model, 2)[0], params))
+        assert np.any(want_mem @ g < 0)  # the step is projected
+        with Tape():
+            grads = backward(strat.objective(2), params)
+            got_mem = np.stack([flat(backward(loss, params))
+                                for loss in strat._memory_losses])
+            got = flat(strat.transform_grads(2, grads))
+        assert np.array_equal(got_mem, want_mem)
+        assert np.array_equal(got, gem_project(g, want_mem))
 
 
 class TestGemBookkeeping:

@@ -257,12 +257,21 @@ def test_cross_entropy_mask_and_empty_batch():
     labels = np.array([0, 1, 1])
     mask = np.array([True, True, False])
     with Tape():
-        partial = cross_entropy(Tensor(logits), labels, mask)
+        partial = cross_entropy(Tensor(logits), labels, np.flatnonzero(mask))
         full = cross_entropy(Tensor(logits[:2]), labels[:2])
     assert partial.item() == pytest.approx(full.item(), rel=1e-12)
     with Tape():
         with pytest.raises(EmptyBatchError):
-            cross_entropy(Tensor(logits), labels, np.zeros(3, dtype=bool))
+            cross_entropy(Tensor(logits), labels,
+                          np.flatnonzero(np.zeros(3, dtype=bool)))
+
+
+def test_cross_entropy_refuses_boolean_rows():
+    # rows are indices only; a boolean array is not read as 0/1 rows
+    with Tape():
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros((3, 2))), np.array([0, 1, 1]),
+                          np.array([True, True, False]))
 
 
 def test_binary_cross_entropy_value_and_stability():

@@ -363,16 +363,22 @@ def relu(x) -> Tensor:
 
 
 def leaky_relu(x, alpha: float = 0.2) -> Tensor:
+    """``x`` where ``x > 0``, else ``alpha * x``; NaN takes ``alpha``.
+
+    The slope is looked up from ``(alpha, 1)`` by the sign test and the
+    value is ``x * slope``: the same bits as selecting with
+    ``np.where``, without its branches."""
     x = as_tensor(x)
-    slope = Tensor(np.where(x.data > 0, 1.0, alpha))
+    slope = np.array((alpha, 1.0)).take((x.data > 0).view(np.uint8))
+    data = x.data * slope
+    slope = Tensor(slope)
 
     def build(out):
         def vjp(g, live):
             return (mul(g, slope),)
         return vjp
 
-    return _apply("leaky_relu", np.where(x.data > 0, x.data, alpha * x.data),
-                  (x,), build)
+    return _apply("leaky_relu", data, (x,), build)
 
 
 def elu(x, alpha: float = 1.0) -> Tensor:
@@ -522,9 +528,12 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
     """Sum rows of ``x`` into ``num_segments`` buckets given by ``idx``.
 
     ``idx`` is an integer array or a :class:`SegmentPlan` with bound
-    ``num_segments``. The sum is one ``np.bincount`` over the flattened
-    values. It adds each bucket's rows in row order, as the unbuffered
-    ``np.add`` scatter does, so the two agree bit for bit.
+    ``num_segments``. The plan sums (:meth:`SegmentPlan.segment_sums`):
+    slot by slot through its
+    :class:`~gnncl.engine.segments.SlotLayout` when there are enough
+    values per slot, by one ``np.bincount`` otherwise. Either way each
+    bucket adds its rows in row order, starting from +0.0, as the
+    unbuffered ``np.add`` scatter does, so the two agree bit for bit.
 
     With ``src`` (row indices into ``x``, raw or planned, one per entry
     of ``idx``) the summed rows are ``x[src]``, and with ``weights`` each
@@ -549,24 +558,18 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
         if weights is not None:
             raise ShapeError("weights scale gathered rows; give src")
         plan = _segment_plan(idx, n, num_segments)
-        values = x.data
     else:
         rows = _row_plan(src, n)
         plan = _segment_plan(idx, len(rows), num_segments)
-        values = _gather_rows_into_workspace(x.data, rows)
         if weights is not None:
             weights = as_tensor(weights)
             if x.ndim < 2 or weights.shape != (len(rows),) + x.shape[1:-1]:
                 raise ShapeError(
                     f"weights of shape {weights.shape} do not scale "
                     f"{len(rows)} rows of shape {x.shape[1:]}")
-            values *= weights.data[..., None]
             inputs = (x, weights)
-    tail = x.shape[1:]
-    width = math.prod(tail)
-    data = np.bincount(plan.flat(width), weights=values.ravel(),
-                       minlength=num_segments * width)
-    data = data.reshape((num_segments,) + tail)
+    data = plan.segment_sums(x.data, rows,
+                             None if weights is None else weights.data)
 
     def build(out):
         def vjp(g, live):
@@ -710,7 +713,8 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
     names the group of row e, and in each column the entries of each
     group sum to 1 in the output. An ``(E, H)`` call equals H calls on
     its columns bit for bit: the per-group sums are one width-H
-    bincount that adds each column's rows in row order. Every group in
+    :func:`scatter_sum`, which adds each column's rows in row order
+    whatever the width. Every group in
     ``[0, num_segments)`` must be non-empty. The per-group max is
     subtracted as a constant before exponentiation; shift invariance
     keeps all derivatives exact. ``segment_ids`` is an integer array or

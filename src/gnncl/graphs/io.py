@@ -67,16 +67,20 @@ def _load_json(path: str, name: str) -> dict:
         raise DatasetError(f"{name}: file missing from {path}")
     try:
         with open(full) as f:
-            return json.load(f)
+            spec = json.load(f)
     except json.JSONDecodeError as e:
         raise DatasetError(f"{name} line {e.lineno}: {e.msg}") from None
+    if not isinstance(spec, dict):
+        raise DatasetError(f"{name}: the top-level value must be an object")
+    return spec
 
 
-def _parse_mask(raw, num_nodes: int, what: str) -> np.ndarray:
+def _parse_mask(vals, num_nodes: int, what: str) -> np.ndarray:
     """A mask entry as sorted, distinct node indices: either a 0/1 list
     over all nodes or a list of node indices (ints, so no bools),
     repeats allowed."""
-    vals = list(raw)
+    if not isinstance(vals, list):
+        raise DatasetError(f"tasks.json: {what} must be a list, got {vals!r}")
     if len(vals) == num_nodes and all(v in (0, 1, True, False)
                                       for v in vals):
         return np.flatnonzero(np.asarray(vals, dtype=bool))
@@ -161,6 +165,9 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
         raise DatasetError("tasks.json: missing 'tasks' list")
     tasks: List[TaskSpec] = []
     for k, entry in enumerate(tspec["tasks"]):
+        if not isinstance(entry, dict):
+            raise DatasetError(f"tasks.json: task {k} must be an object, "
+                               f"got {entry!r}")
         if "classes" not in entry:
             raise DatasetError(f"tasks.json: task {k} missing 'classes'")
         classes = entry["classes"]

@@ -554,14 +554,27 @@ def test_load_rejects_overlapping_classes(tmp_path):
     (1, "classes", [2.0, 3]),
     (0, "classes", [False, True]),      # not classes 0 and 1
     (0, "classes", 1),
+    (0, "train_mask", 5),               # a mask is a list
+    (0, "test_mask", {"0": 1}),
+    (0, None, 5),                       # a task is an object
+    (1, None, None),
+    (1, None, ["classes"]),
+    (None, None, ["tasks"]),            # so is the whole file
 ])
 def test_load_rejects_non_integer_entries(tmp_path, task, field, value):
+    # value replaces one field of a task, a whole task (field None) or
+    # the whole file (task None)
     seq = generate_sbm_tasks(4, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
     save_dataset(seq, tmp_path / "ds")
     import json
     p = tmp_path / "ds" / "tasks.json"
     spec = json.loads(p.read_text())
-    spec["tasks"][task][field] = value
+    if task is None:
+        spec = value
+    elif field is None:
+        spec["tasks"][task] = value
+    else:
+        spec["tasks"][task][field] = value
     p.write_text(json.dumps(spec))
     with pytest.raises(DatasetError, match="tasks.json"):
         load_dataset(tmp_path / "ds")

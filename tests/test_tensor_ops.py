@@ -24,6 +24,7 @@ from gnncl.engine import (
     flat_concat,
     flat_split,
     gather_rows,
+    leaky_relu,
     log,
     log_softmax,
     matmul,
@@ -42,7 +43,18 @@ from gnncl.engine import (
     tanh,
     transpose,
 )
+from gnncl.engine import segments
 from gnncl.engine.ops import segment_max
+
+
+def _kernels():
+    """Run a loop body once with each kernel of ``scatter_sum``: the
+    slot loop, then one bincount. The plan picks one by the number of
+    values per slot; here ``SLOT_VALUES`` forces each in turn."""
+    for values in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segments, "SLOT_VALUES", values)
+            yield
 
 
 def test_tensor_basics():
@@ -67,6 +79,29 @@ def test_arithmetic_values():
         assert np.allclose(neg(a).data, [-1, -2, -3])
         row = Tensor([[1.0, 2.0, 3.0]])
         assert np.allclose(matmul(row, Tensor(np.eye(3))).data, row.data)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, np.float64).view(np.int64)
+
+
+def test_leaky_relu_matches_where_oracle():
+    # the slope table and x * slope give np.where's bits, signs of zero
+    # and NaN included, for values and the gradient alike
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+               -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5]
+    values = np.concatenate([special, np.random.default_rng(3)
+                             .standard_normal(36)]).reshape(4, 12)
+    for alpha in (0.2, 0.01, 1.5):
+        x = Tensor(values.copy(), requires_grad=True)
+        # the loss sums +inf and -inf; only its gradient is checked
+        with Tape(), np.errstate(invalid="ignore"):
+            out = leaky_relu(x, alpha)
+            grad = backward(sum_(out), [x])[x]
+        want = np.where(values > 0, values, alpha * values)
+        assert np.array_equal(_bits(out.data), _bits(want))
+        assert np.array_equal(_bits(grad.data),
+                              _bits(np.where(values > 0, 1.0, alpha)))
 
 
 def test_division_by_zero_rejected():
@@ -215,8 +250,27 @@ def test_segment_plan_layout():
     assert len(plan) == 6
     assert plan.starts.tolist() == [0, 2, 3]
     assert plan.counts.tolist() == [2, 1, 3]
-    assert plan.flat(2).tolist() == [0, 1, 0, 1, 2, 3, 4, 5, 4, 5, 4, 5]
-    assert plan.flat(2) is plan.flat(2)
+    # segments ranked by size (2, 0, 1); slot k lists the k-th entry of
+    # each segment that has one, in rank order: (3, 0, 2), (4, 1), (5)
+    slots = plan.slots
+    assert slots.pos.tolist() == [1, 2, 0]
+    assert slots.perm.tolist() == [3, 0, 2, 4, 1, 5]
+    assert slots.spans == [(3, 0), (2, 3), (1, 5)]
+    assert plan.slots is slots
+    # unsorted ids take the same layout, entries in entry order
+    slots = SegmentPlan(np.array([2, 0, 2, 1, 0, 2]), 3).slots
+    assert slots.perm.tolist() == [0, 1, 3, 2, 4, 5]
+    assert slots.spans == [(3, 0), (2, 3), (1, 5)]
+    # ids past 16 bits, unsorted, with most segments empty
+    ids = np.array([5, 69999, 5, 69999, 69999])
+    plan = SegmentPlan(ids, 70000)
+    assert plan.slots.perm.tolist() == [1, 0, 3, 2, 4]
+    assert plan.slots.pos[[69999, 5, 0]].tolist() == [0, 1, 2]
+    x = np.arange(5.0)
+    for _ in _kernels():
+        with Tape():
+            assert np.array_equal(scatter_sum(Tensor(x), plan, 70000).data,
+                                  _add_at(x, ids, 70000))
     # unsorted ids or an empty segment leave no starts
     assert SegmentPlan(np.array([1, 0]), 2).starts is None
     assert SegmentPlan(np.array([0, 2]), 3).starts is None
@@ -400,11 +454,23 @@ def _add_at(values, ids, n):
     return out
 
 
+def _skew(draw, ids, n):
+    """``ids``, or with one segment (a hub) given all entries but every
+    fourth: one deep segment among shallow and empty ones."""
+    if len(ids) and draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        ids = np.where(np.arange(len(ids)) % 4 == 0, ids, hub)
+    return ids
+
+
 @st.composite
 def _segments(draw, sort):
+    """(ids, n): segment ids in [0, n), zero of them or more, that may
+    leave segments empty and may pile into one segment."""
     n = draw(st.integers(1, 6))
     ids = draw(hnp.arrays(np.int64, st.integers(0, 24),
                           elements=st.integers(0, n - 1)))
+    ids = _skew(draw, ids, n)
     if sort:
         ids = np.sort(ids)
     return ids, n
@@ -415,16 +481,65 @@ def _segments(draw, sort):
 @settings(max_examples=150, deadline=None)
 def test_planned_scatter_matches_add_at(seg, k, m, data):
     # unsorted and duplicate ids, empty segments, zero rows; one plan
-    # serves three widths
+    # and its one workspace serve three widths, growing or shrinking
     ids, n = seg
     plan = SegmentPlan(ids, n)
-    for tail in ((), (k,), (k, m)):
-        x = data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
-                                 elements=_finite))
-        want = _add_at(x, ids, n)
-        with Tape():
-            assert np.array_equal(scatter_sum(Tensor(x), plan, n).data, want)
-            assert np.array_equal(scatter_sum(Tensor(x), ids, n).data, want)
+    tails = data.draw(st.permutations([(), (k,), (k, m)]))
+    xs = [data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
+                               elements=_finite)) for tail in tails]
+    for _ in _kernels():
+        for x in xs:
+            want = _add_at(x, ids, n)
+            with Tape():
+                assert np.array_equal(scatter_sum(Tensor(x), plan, n).data,
+                                      want)
+                assert np.array_equal(scatter_sum(Tensor(x), ids, n).data,
+                                      want)
+
+
+def _arrays_held(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through slots, dicts,
+    lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        parts = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        parts = list(obj)
+    else:
+        parts = [getattr(obj, name, None)
+                 for cls in type(obj).__mro__
+                 for name in getattr(cls, "__slots__", ())]
+    return [a for part in parts for a in _arrays_held(part, seen)]
+
+
+def test_wide_scatter_keeps_no_per_width_index():
+    # width-16 scatters, plain and fused, with SLOT_VALUES values per
+    # slot sum slot by slot: they cache float buffers on their plans
+    # but no integer index longer than the plan, nothing of E x width
+    # entries
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(np.repeat(np.arange(64), 10))
+    rows = rng.integers(0, 9, 640)
+    plan, src = SegmentPlan(ids, 64), SegmentPlan.rows(rows, 9)
+    x = Tensor(rng.standard_normal((640, 4, 4)))
+    y = Tensor(rng.standard_normal((9, 4, 4)))
+    w = rng.standard_normal((640, 4))
+    with Tape():
+        got = scatter_sum(x, plan, 64)
+        fused = scatter_sum(y, plan, 64, src=src, weights=w)
+    assert np.array_equal(got.data, _add_at(x.data, ids, 64))
+    assert np.array_equal(
+        fused.data, _add_at(y.data[rows] * w[..., None], ids, 64))
+    for p in (plan, src):
+        held = [a for a in _arrays_held(p) if a.dtype.kind in "iu"]
+        assert held and all(a.size <= max(len(p), p.bound) for a in held)
+    # 640 rows of 16 values over segments 10 deep: SLOT_VALUES a slot
+    assert len(plan) * 16 == segments.SLOT_VALUES * plan.depth
 
 
 @given(_segments(sort=False), st.integers(1, 3), st.integers(1, 3),
@@ -441,16 +556,17 @@ def test_planned_gather_and_its_vjp_match_oracles(seg, k, m, data):
                    requires_grad=True)
         w = data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
                                  elements=_finite))
-        with Tape():
-            out = gather_rows(x, plan)
-            assert np.array_equal(out.data, x.data[ids])
-            grad = backward(sum_(mul(out, Tensor(w))), [x])[x]
-        assert np.array_equal(grad.data, _add_at(w, ids, n))
+        for _ in _kernels():
+            with Tape():
+                out = gather_rows(x, plan)
+                assert np.array_equal(out.data, x.data[ids])
+                grad = backward(sum_(mul(out, Tensor(w))), [x])[x]
+            assert np.array_equal(grad.data, _add_at(w, ids, n))
 
 
 @st.composite
 def _columns(draw):
-    width = draw(st.integers(1, 6))
+    width = draw(st.integers(0, 6))
     order = draw(st.permutations(range(width)))
     cols = np.asarray(order[:draw(st.integers(0, width))], dtype=np.int64)
     return cols, width
@@ -518,18 +634,22 @@ def test_segment_softmax_columns_match_1d_calls(sort, planned, heads, data):
                                   elements=_finite))
     up = data.draw(hnp.arrays(np.float64, (len(ids), heads),
                               elements=_finite))
-    x = Tensor(values, requires_grad=True)
-    with Tape():
-        out = segment_softmax(x, seg, n)
-        grad = backward(sum_(mul(out, Tensor(up))), [x])[x]
+    wants = []
     for h in range(heads):
         col = Tensor(values[:, h].copy(), requires_grad=True)
         with Tape():
             want = segment_softmax(col, seg, n)
             want_grad = backward(sum_(mul(want, Tensor(up[:, h].copy()))),
                                  [col])[col]
-        assert _same(out.data[:, h], want.data)
-        assert _same(grad.data[:, h], want_grad.data)
+        wants.append((want.data, want_grad.data))
+    x = Tensor(values, requires_grad=True)
+    for _ in _kernels():
+        with Tape():
+            out = segment_softmax(x, seg, n)
+            grad = backward(sum_(mul(out, Tensor(up))), [x])[x]
+        for h, (want, want_grad) in enumerate(wants):
+            assert _same(out.data[:, h], want)
+            assert _same(grad.data[:, h], want_grad)
 
 
 # fused edge kernels against the chains of ops they replace ---------------
@@ -547,7 +667,7 @@ def _same(a, b):
 def _edge_lists(draw):
     """(rows, ids, num_rows, num_segments): unsorted row indices into
     ``num_rows`` rows and segment ids, sorted or not, that may leave
-    segments empty; zero edges allowed."""
+    segments empty or pile into one; zero edges allowed."""
     num_rows = draw(st.integers(1, 5))
     num_segments = draw(st.integers(1, 5))
     e = draw(st.integers(0, 12))
@@ -555,6 +675,7 @@ def _edge_lists(draw):
                            elements=st.integers(0, num_rows - 1)))
     ids = draw(hnp.arrays(np.int64, e,
                           elements=st.integers(0, num_segments - 1)))
+    ids = _skew(draw, ids, num_segments)
     if draw(st.booleans()):
         ids = np.sort(ids)
     return rows, ids, num_rows, num_segments
@@ -589,21 +710,23 @@ def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
     src, idx = ((SegmentPlan.rows(rows, n), SegmentPlan(ids, m))
                 if planned else (rows, ids))
     with Tape():
-        out = scatter_sum(x, idx, m, src=src, weights=w)
-        grads = backward(sum_(mul(out, up)), params)
-    with Tape():
         msgs = gather_rows(x, src)
         if w is not None:
             msgs = mul(msgs, reshape(w, w.shape + (1,)))
         want = scatter_sum(msgs, idx, m)
         want_grads = backward(sum_(mul(want, up)), params)
-    assert _same(out.data, want.data)
-    assert _same(grads[x].data, want_grads[x].data)
-    if w is not None:
-        # a sum starts from +0.0, and the chain's sum_to leaves a last
-        # axis of width 1 unsummed, so there a lone -0.0 keeps its sign
-        same = _same if d > 1 else np.array_equal
-        assert same(grads[w].data, want_grads[w].data)
+    for _ in _kernels():
+        with Tape():
+            out = scatter_sum(x, idx, m, src=src, weights=w)
+            grads = backward(sum_(mul(out, up)), params)
+        assert _same(out.data, want.data)
+        assert _same(grads[x].data, want_grads[x].data)
+        if w is not None:
+            # a sum starts from +0.0, and the chain's sum_to leaves a
+            # last axis of width 1 unsummed, so there a lone -0.0 keeps
+            # its sign
+            same = _same if d > 1 else np.array_equal
+            assert same(grads[w].data, want_grads[w].data)
 
 
 @given(_edge_lists(), st.booleans(), _widths, st.integers(1, 3),
@@ -631,14 +754,15 @@ def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, planned,
     if shared:
         ib = ia
     with Tape():
-        out = edge_dot(a, b, ia, ib)
-        grads = backward(sum_(mul(out, up)), [a, b])
-    with Tape():
         want = sum_axis(mul(gather_rows(a, ia), gather_rows(b, ib)), -1)
         want_grads = backward(sum_(mul(want, up)), [a, b])
-    assert _same(out.data, want.data)
-    for p in (a, b):
-        assert _same(grads[p].data, want_grads[p].data)
+    for _ in _kernels():
+        with Tape():
+            out = edge_dot(a, b, ia, ib)
+            grads = backward(sum_(mul(out, up)), [a, b])
+        assert _same(out.data, want.data)
+        for p in (a, b):
+            assert _same(grads[p].data, want_grads[p].data)
 
 
 def test_fused_edge_kernel_validation():

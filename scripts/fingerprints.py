@@ -13,7 +13,10 @@ Then comes one line per run, ``<kind>-<backbone>-<STRATEGY> <r> <curves>``
 (the last one, ``sbm16x-gat-FINETUNE``, on the 3,840-node SBM):
 the sha256 of the run's R.csv and the sha256 of its loss curves (every
 task's per-epoch losses as float64 bytes, in task order), or the
-exception type name in place of both when the run fails. R.csv holds
+exception type name in place of both when the run fails; the script
+prints every line and then exits with status 1 if any run failed, so a
+scripted comparison of two checkouts tells a broken run from a changed
+one. R.csv holds
 accuracies, which a last-bits change in training rarely moves; such a
 change shows in the second hash alone. Diff the output of two checkouts
 to see which runs changed:
@@ -25,6 +28,7 @@ Hashes depend on the BLAS build, so compare outputs made on one machine.
 
 import argparse
 import hashlib
+import sys
 
 import numpy as np
 
@@ -68,19 +72,24 @@ def main() -> None:
         for seed in DATASET_SEEDS:
             print(f"dataset-{name}-{seed}", dataset_hash(dataset, seed),
                   flush=True)
+    ok = True
     for kind in KINDS:
         for backbone in BACKBONES:
             for strategy in STRATEGY_KINDS:
-                print_run(f"{kind}-{backbone}-{strategy}", {"kind": kind},
-                          backbone, strategy, args.epochs, args.seed)
+                ok &= print_run(f"{kind}-{backbone}-{strategy}",
+                                {"kind": kind}, backbone, strategy,
+                                args.epochs, args.seed)
     # the only run on the large graph, whose edge counts and widths no
     # default dataset reaches
-    print_run("sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"], "gat",
-              "FINETUNE", args.epochs, args.seed)
+    ok &= print_run("sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"], "gat",
+                    "FINETUNE", args.epochs, args.seed)
+    if not ok:
+        sys.exit(1)
 
 
 def print_run(name: str, dataset: dict, backbone: str, strategy: str,
-              epochs: int, seed: int) -> None:
+              epochs: int, seed: int) -> bool:
+    """Print the run's fingerprint line; False if the run raised."""
     try:
         result = run_sequence(run_config_from_dict({
             "dataset": dataset,
@@ -89,12 +98,13 @@ def print_run(name: str, dataset: dict, backbone: str, strategy: str,
             "seed": seed}))
     except Exception as exc:
         print(name, type(exc).__name__, flush=True)
-        return
+        return False
     r_hash = hashlib.sha256(result.r.to_csv().encode())
     curves = hashlib.sha256()
     for curve in result.loss_curves:
         curves.update(np.asarray(curve, np.float64).tobytes())
     print(name, r_hash.hexdigest(), curves.hexdigest(), flush=True)
+    return True
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..engine import (
     Adam,
+    EmptyBatchError,
     GradientMap,
     Tape,
     Tensor,
@@ -140,7 +141,14 @@ class TaskView:
               ) -> Tuple[ForwardContext, Optional[np.ndarray]]:
         """The context and rows scoring examples ``idx``: rows ``idx`` of
         the shared graph's context (node tasks; their neighbours stay
-        visible), or all rows (None) of the graphs ``idx`` pooled."""
+        visible), or all rows (None) of the graphs ``idx`` pooled.
+        Training, memories and evaluation all lay out their examples
+        here, so an empty split of either task kind raises
+        :class:`EmptyBatchError` here."""
+        if len(idx) == 0:
+            raise EmptyBatchError(
+                "no examples to score: a task's train or test split is "
+                "empty")
         return (self.ctx, idx) if self.node else (self.pool_ctx(idx), None)
 
     def train_ctx(self, k: int) -> ForwardContext:

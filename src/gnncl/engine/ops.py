@@ -35,8 +35,15 @@ from .segments import SegmentPlan
 
 
 def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
-           vjp_builder) -> Tensor:
-    """Wrap ``data`` in a Tensor and record the op if a tape is live."""
+           vjp) -> Tensor:
+    """Wrap ``data`` in a Tensor and record the op if a tape is live.
+
+    The op protocol: an op hands ``_apply`` its value, its inputs and its
+    VJP, ``vjp(g, live)``, which maps the output's cotangent ``g`` to one
+    per input, or None for an input that ``live`` marks off the tape. A
+    VJP that reads the op's own output (``exp``, ``tanh``, ``sigmoid``,
+    ``elu``) binds it late: ``out = _apply(...); return out``.
+    """
     out = Tensor(data)
     tape = active_tape()
     if tape is None or not tape._recording:
@@ -44,7 +51,7 @@ def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
     ids = tuple(tape.node_id_of(t) for t in inputs)
     if all(i is None for i in ids):
         return out
-    nid = tape.append(Node(op, ids, vjp_builder(out)))
+    nid = tape.append(Node(op, ids, vjp))
     out._link(tape, nid)
     return out
 
@@ -74,12 +81,10 @@ def sum_to(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
     data = _sum_to_data(x.data, shape)
     xs = x.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (broadcast_to(g, xs),)
-        return vjp
+    def vjp(g, live):
+        return (broadcast_to(g, xs),)
 
-    return _apply("sum_to", data, (x,), build)
+    return _apply("sum_to", data, (x,), vjp)
 
 
 def broadcast_to(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
@@ -93,12 +98,10 @@ def broadcast_to(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
         raise ShapeError(str(e)) from None
     xs = x.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (sum_to(g, xs),)
-        return vjp
+    def vjp(g, live):
+        return (sum_to(g, xs),)
 
-    return _apply("broadcast_to", np.ascontiguousarray(data), (x,), build)
+    return _apply("broadcast_to", np.ascontiguousarray(data), (x,), vjp)
 
 
 def reshape(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
@@ -108,12 +111,10 @@ def reshape(x: Tensor, shape: Tuple[int, ...]) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     xs = x.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (reshape(g, xs),)
-        return vjp
+    def vjp(g, live):
+        return (reshape(g, xs),)
 
-    return _apply("reshape", x.data.reshape(shape), (x,), build)
+    return _apply("reshape", x.data.reshape(shape), (x,), vjp)
 
 
 def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -131,13 +132,10 @@ def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
         if sorted(axes) != list(range(x.ndim)):
             raise ShapeError(f"axes {axes} do not permute shape {x.shape}")
 
-    def build(out):
-        def vjp(g, live):
-            return (transpose(g, tuple(axes.index(i)
-                                       for i in range(len(axes)))),)
-        return vjp
+    def vjp(g, live):
+        return (transpose(g, tuple(axes.index(i) for i in range(len(axes)))),)
 
-    return _apply("transpose", x.data.transpose(axes).copy(), (x,), build)
+    return _apply("transpose", x.data.transpose(axes).copy(), (x,), vjp)
 
 
 def flat_concat(tensors: Sequence) -> Tensor:
@@ -152,15 +150,12 @@ def flat_concat(tensors: Sequence) -> Tensor:
     data = np.concatenate([t.data.ravel() for t in tensors]
                           or [np.zeros(0)])
 
-    def build(out):
+    def vjp(g, live):
         starts = _offsets(shapes)
+        return tuple(_flat_piece(g, lo, shape) if keep else None
+                     for lo, shape, keep in zip(starts, shapes, live))
 
-        def vjp(g, live):
-            return tuple(_flat_piece(g, lo, shape) if keep else None
-                         for lo, shape, keep in zip(starts, shapes, live))
-        return vjp
-
-    return _apply("flat_concat", data, tensors, build)
+    return _apply("flat_concat", data, tensors, vjp)
 
 
 def flat_split(x: Tensor,
@@ -186,14 +181,11 @@ def _flat_piece(x: Tensor, lo: int, shape: Tuple[int, ...]) -> Tensor:
     size = math.prod(shape)
     rest = x.shape[0] - lo - size
 
-    def build(out):
-        def vjp(g, live):
-            return (flat_concat((Tensor(np.zeros(lo)), g,
-                                 Tensor(np.zeros(rest)))),)
-        return vjp
+    def vjp(g, live):
+        return (flat_concat((Tensor(np.zeros(lo)), g,
+                             Tensor(np.zeros(rest)))),)
 
-    return _apply("flat_slice", x.data[lo:lo + size].reshape(shape), (x,),
-                  build)
+    return _apply("flat_slice", x.data[lo:lo + size].reshape(shape), (x,), vjp)
 
 
 def _swap_last(x: Tensor) -> Tensor:
@@ -209,39 +201,33 @@ def add(x, y) -> Tensor:
     x, y = as_tensor(x), as_tensor(y)
     xs, ys = x.shape, y.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (sum_to(g, xs) if live[0] else None,
-                    sum_to(g, ys) if live[1] else None)
-        return vjp
+    def vjp(g, live):
+        return (sum_to(g, xs) if live[0] else None,
+                sum_to(g, ys) if live[1] else None)
 
-    return _apply("add", x.data + y.data, (x, y), build)
+    return _apply("add", x.data + y.data, (x, y), vjp)
 
 
 def sub(x, y) -> Tensor:
     x, y = as_tensor(x), as_tensor(y)
     xs, ys = x.shape, y.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (sum_to(g, xs) if live[0] else None,
-                    neg(sum_to(g, ys)) if live[1] else None)
-        return vjp
+    def vjp(g, live):
+        return (sum_to(g, xs) if live[0] else None,
+                neg(sum_to(g, ys)) if live[1] else None)
 
-    return _apply("sub", x.data - y.data, (x, y), build)
+    return _apply("sub", x.data - y.data, (x, y), vjp)
 
 
 def mul(x, y) -> Tensor:
     x, y = as_tensor(x), as_tensor(y)
     xs, ys = x.shape, y.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (sum_to(mul(g, y), xs) if live[0] else None,
-                    sum_to(mul(g, x), ys) if live[1] else None)
-        return vjp
+    def vjp(g, live):
+        return (sum_to(mul(g, y), xs) if live[0] else None,
+                sum_to(mul(g, x), ys) if live[1] else None)
 
-    return _apply("mul", x.data * y.data, (x, y), build)
+    return _apply("mul", x.data * y.data, (x, y), vjp)
 
 
 def div(x, y) -> Tensor:
@@ -250,37 +236,31 @@ def div(x, y) -> Tensor:
         raise DomainError("division by zero")
     xs, ys = x.shape, y.shape
 
-    def build(out):
-        def vjp(g, live):
-            gx = sum_to(div(g, y), xs) if live[0] else None
-            gy = (sum_to(neg(mul(g, div(x, mul(y, y)))), ys)
-                  if live[1] else None)
-            return (gx, gy)
-        return vjp
+    def vjp(g, live):
+        gx = sum_to(div(g, y), xs) if live[0] else None
+        gy = (sum_to(neg(mul(g, div(x, mul(y, y)))), ys)
+              if live[1] else None)
+        return (gx, gy)
 
-    return _apply("div", x.data / y.data, (x, y), build)
+    return _apply("div", x.data / y.data, (x, y), vjp)
 
 
 def neg(x) -> Tensor:
     x = as_tensor(x)
 
-    def build(out):
-        def vjp(g, live):
-            return (neg(g),)
-        return vjp
+    def vjp(g, live):
+        return (neg(g),)
 
-    return _apply("neg", -x.data, (x,), build)
+    return _apply("neg", -x.data, (x,), vjp)
 
 
 def square(x) -> Tensor:
     x = as_tensor(x)
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, mul(Tensor(2.0), x)),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, mul(Tensor(2.0), x)),)
 
-    return _apply("square", np.square(x.data), (x,), build)
+    return _apply("square", np.square(x.data), (x,), vjp)
 
 
 def abs_(x) -> Tensor:
@@ -292,23 +272,20 @@ def abs_(x) -> Tensor:
     x = as_tensor(x)
     sgn = Tensor(np.sign(x.data))
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, sgn),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, sgn),)
 
-    return _apply("abs", np.abs(x.data), (x,), build)
+    return _apply("abs", np.abs(x.data), (x,), vjp)
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, out),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, out),)
 
-    return _apply("exp", np.exp(x.data), (x,), build)
+    out = _apply("exp", np.exp(x.data), (x,), vjp)
+    return out
 
 
 def log(x) -> Tensor:
@@ -316,23 +293,20 @@ def log(x) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError("log requires strictly positive inputs")
 
-    def build(out):
-        def vjp(g, live):
-            return (div(g, x),)
-        return vjp
+    def vjp(g, live):
+        return (div(g, x),)
 
-    return _apply("log", np.log(x.data), (x,), build)
+    return _apply("log", np.log(x.data), (x,), vjp)
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, sub(Tensor(1.0), mul(out, out))),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, sub(Tensor(1.0), mul(out, out))),)
 
-    return _apply("tanh", np.tanh(x.data), (x,), build)
+    out = _apply("tanh", np.tanh(x.data), (x,), vjp)
+    return out
 
 
 def sigmoid(x) -> Tensor:
@@ -342,24 +316,21 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(z))
     data = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, mul(out, sub(Tensor(1.0), out))),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, mul(out, sub(Tensor(1.0), out))),)
 
-    return _apply("sigmoid", data, (x,), build)
+    out = _apply("sigmoid", data, (x,), vjp)
+    return out
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = Tensor((x.data > 0).astype(np.float64))
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, mask),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, mask),)
 
-    return _apply("relu", np.maximum(x.data, 0.0), (x,), build)
+    return _apply("relu", np.maximum(x.data, 0.0), (x,), vjp)
 
 
 def leaky_relu(x, alpha: float = 0.2) -> Tensor:
@@ -373,12 +344,10 @@ def leaky_relu(x, alpha: float = 0.2) -> Tensor:
     data = x.data * slope
     slope = Tensor(slope)
 
-    def build(out):
-        def vjp(g, live):
-            return (mul(g, slope),)
-        return vjp
+    def vjp(g, live):
+        return (mul(g, slope),)
 
-    return _apply("leaky_relu", data, (x,), build)
+    return _apply("leaky_relu", data, (x,), vjp)
 
 
 def elu(x, alpha: float = 1.0) -> Tensor:
@@ -389,15 +358,14 @@ def elu(x, alpha: float = 1.0) -> Tensor:
     rest = Tensor(1.0 - mask)
     a = Tensor(float(alpha))
 
-    def build(out):
-        def vjp(g, live):
-            # derivative is 1 on the positive side, alpha*e^x = out+alpha
-            # on the other
-            d = add(pos, mul(rest, add(out, a)))
-            return (mul(g, d),)
-        return vjp
+    def vjp(g, live):
+        # derivative is 1 on the positive side, alpha*e^x = out+alpha
+        # on the other
+        d = add(pos, mul(rest, add(out, a)))
+        return (mul(g, d),)
 
-    return _apply("elu", data, (x,), build)
+    out = _apply("elu", data, (x,), vjp)
+    return out
 
 
 def matmul(x: Tensor, y: Tensor) -> Tensor:
@@ -412,14 +380,12 @@ def matmul(x: Tensor, y: Tensor) -> Tensor:
         raise ShapeError(f"matmul shapes {x.shape} and {y.shape} do not align")
     xs, ys = x.shape, y.shape
 
-    def build(out):
-        def vjp(g, live):
-            gx = sum_to(matmul(g, _swap_last(y)), xs) if live[0] else None
-            gy = sum_to(matmul(_swap_last(x), g), ys) if live[1] else None
-            return (gx, gy)
-        return vjp
+    def vjp(g, live):
+        gx = sum_to(matmul(g, _swap_last(y)), xs) if live[0] else None
+        gy = sum_to(matmul(_swap_last(x), g), ys) if live[1] else None
+        return (gx, gy)
 
-    return _apply("matmul", x.data @ y.data, (x, y), build)
+    return _apply("matmul", x.data @ y.data, (x, y), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +395,10 @@ def sum_(x) -> Tensor:
     x = as_tensor(x)
     xs = x.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (broadcast_to(g, xs),)
-        return vjp
+    def vjp(g, live):
+        return (broadcast_to(g, xs),)
 
-    return _apply("sum", np.asarray(x.data.sum()), (x,), build)
+    return _apply("sum", np.asarray(x.data.sum()), (x,), vjp)
 
 
 def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
@@ -446,13 +410,11 @@ def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
     kept[axis] = 1
     xs = x.shape
 
-    def build(out):
-        def vjp(g, live):
-            return (broadcast_to(reshape(g, tuple(kept)), xs),)
-        return vjp
+    def vjp(g, live):
+        return (broadcast_to(reshape(g, tuple(kept)), xs),)
 
     return _apply("sum_axis", x.data.sum(axis=axis, keepdims=keepdims),
-                  (x,), build)
+                  (x,), vjp)
 
 
 def sq_l2_norm(x) -> Tensor:
@@ -502,25 +464,10 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     n = x.shape[0]
     plan = _row_plan(idx, n)
 
-    def build(out):
-        def vjp(g, live):
-            return (scatter_sum(g, plan, n),)
-        return vjp
+    def vjp(g, live):
+        return (scatter_sum(g, plan, n),)
 
-    return _apply("gather_rows", np.take(x.data, plan.ids, axis=0), (x,),
-                  build)
-
-
-def _gather_rows_into_workspace(x: np.ndarray,
-                                plan: SegmentPlan) -> np.ndarray:
-    """``x[plan.ids]`` written into the plan's workspace, valid until
-    the next gather through the plan."""
-    tail = x.shape[1:]
-    work = plan.workspace(math.prod(tail))
-    # the ids are validated, so clipping never moves one; with the
-    # default mode numpy would gather into a temporary and copy
-    return np.take(x, plan.ids, axis=0, mode="clip",
-                   out=work.reshape((len(plan),) + tail))
+    return _apply("gather_rows", np.take(x.data, plan.ids, axis=0), (x,), vjp)
 
 
 def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
@@ -571,18 +518,16 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
     data = plan.segment_sums(x.data, rows,
                              None if weights is None else weights.data)
 
-    def build(out):
-        def vjp(g, live):
-            if rows is None:
-                return (gather_rows(g, plan),)
-            gx = (scatter_sum(g, rows, n, src=plan, weights=weights)
-                  if live[0] else None)
-            if weights is None:
-                return (gx,)
-            return (gx, edge_dot(g, x, plan, rows) if live[1] else None)
-        return vjp
+    def vjp(g, live):
+        if rows is None:
+            return (gather_rows(g, plan),)
+        gx = (scatter_sum(g, rows, n, src=plan, weights=weights)
+              if live[0] else None)
+        if weights is None:
+            return (gx,)
+        return (gx, edge_dot(g, x, plan, rows) if live[1] else None)
 
-    return _apply("scatter_sum", data, inputs, build)
+    return _apply("scatter_sum", data, inputs, vjp)
 
 
 def edge_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
@@ -605,9 +550,9 @@ def edge_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
     pa, pb = _row_plan(ia, na), _row_plan(ib, nb)
     if len(pa) != len(pb):
         raise ShapeError(f"{len(pa)} and {len(pb)} edge endpoints")
-    prod = _gather_rows_into_workspace(a.data, pa)
+    prod = pa.gather(a.data, pa.ids)
     prod *= (np.take(b.data, pb.ids, axis=0) if pb is pa
-             else _gather_rows_into_workspace(b.data, pb))
+             else pb.gather(b.data, pb.ids))
     width = prod.shape[-1]
     if width < 8:
         # numpy adds fewer than 8 values in order, starting from +0.0;
@@ -618,15 +563,13 @@ def edge_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
     else:
         data = prod.sum(axis=-1)
 
-    def build(out):
-        def vjp(g, live):
-            return (scatter_sum(b, pa, na, src=pb, weights=g)
-                    if live[0] else None,
-                    scatter_sum(a, pb, nb, src=pa, weights=g)
-                    if live[1] else None)
-        return vjp
+    def vjp(g, live):
+        return (scatter_sum(b, pa, na, src=pb, weights=g)
+                if live[0] else None,
+                scatter_sum(a, pb, nb, src=pa, weights=g)
+                if live[1] else None)
 
-    return _apply("edge_dot", data, (a, b), build)
+    return _apply("edge_dot", data, (a, b), vjp)
 
 
 def _col_plan(cols, width: int) -> SegmentPlan:
@@ -657,13 +600,10 @@ def take_cols(x: Tensor, cols) -> Tensor:
     width = x.shape[1]
     plan = _col_plan(cols, width)
 
-    def build(out):
-        def vjp(g, live):
-            return (place_cols(g, plan, width),)
-        return vjp
+    def vjp(g, live):
+        return (place_cols(g, plan, width),)
 
-    return _apply("take_cols", np.take(x.data, plan.ids, axis=1), (x,),
-                  build)
+    return _apply("take_cols", np.take(x.data, plan.ids, axis=1), (x,), vjp)
 
 
 def place_cols(x: Tensor, cols, width: int) -> Tensor:
@@ -682,12 +622,10 @@ def place_cols(x: Tensor, cols, width: int) -> Tensor:
     data = np.zeros((x.shape[0], width))
     data[:, plan.ids] = x.data
 
-    def build(out):
-        def vjp(g, live):
-            return (take_cols(g, plan),)
-        return vjp
+    def vjp(g, live):
+        return (take_cols(g, plan),)
 
-    return _apply("place_cols", data, (x,), build)
+    return _apply("place_cols", data, (x,), vjp)
 
 
 def segment_max(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
@@ -800,13 +738,11 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
     n = float(z.size)
     targets_t, count = Tensor(t), Tensor(n)
 
-    def build(out):
-        def vjp(g, live):
-            return (div(mul(g, sub(sigmoid(logits), targets_t)), count),)
-        return vjp
+    def vjp(g, live):
+        return (div(mul(g, sub(sigmoid(logits), targets_t)), count),)
 
     return _apply("binary_cross_entropy", np.asarray(val.sum() / n),
-                  (logits,), build)
+                  (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

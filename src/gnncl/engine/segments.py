@@ -94,7 +94,7 @@ class SegmentPlan:
         self._slots: Optional[SlotLayout] = None
         self._slot_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._work = np.empty(0)
-        self._sums: Dict[Tuple[int, ...], Tuple] = {}
+        self._sums: Dict[int, Tuple] = {}
         self._flats: Dict[int, np.ndarray] = {1: ids}
         self._counts: Optional[np.ndarray] = None
         self._depth: Optional[int] = None
@@ -165,6 +165,17 @@ class SegmentPlan:
             self._sums.clear()
         return self._work[:size].reshape(len(self), width)
 
+    def gather(self, x: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """``x[order]`` written into the workspace, for ``len(self)``
+        validated row indices ``order``; valid until the next gather
+        through this plan."""
+        tail = x.shape[1:]
+        work = self.workspace(math.prod(tail))
+        # the indices are validated, so clipping never moves one; with
+        # the default mode numpy would gather into a temporary and copy
+        return np.take(x, order, axis=0, mode="clip",
+                       out=work.reshape((len(self),) + tail))
+
     def segment_sums(self, x: np.ndarray,
                      rows: Optional["SegmentPlan"] = None,
                      scale: Optional[np.ndarray] = None) -> np.ndarray:
@@ -181,39 +192,32 @@ class SegmentPlan:
         with one ``take``; each slot is one in-place add onto a prefix
         of an accumulator that ranks the segments by size, and one
         ``take`` puts the segments back in order. The views are kept
-        per row shape, so such a call builds no index. With fewer, the
-        dispatch of each add costs more than its work (the rows are few
-        or one segment is deep), and the sum is one ``np.bincount``
-        over a cached index of ``len * width`` entries, at most
-        ``SLOT_VALUES * depth``."""
+        per width, shared by every row shape of that width, so such a
+        call builds no index. With fewer, the dispatch of each add
+        costs more than its work (the rows are few or one segment is
+        deep), and the sum is one ``np.bincount`` over a cached index
+        of ``len * width`` entries, at most ``SLOT_VALUES * depth``."""
         tail = x.shape[1:]
         width = math.prod(tail)
         if len(self) * width < SLOT_VALUES * self.depth:
             values = x
             if rows is not None:
-                # the rows are validated, so clipping never moves one;
-                # with the default mode numpy would gather into a
-                # temporary and copy
-                values = np.take(x, rows.ids, axis=0, mode="clip",
-                                 out=self.workspace(width)
-                                 .reshape((len(self),) + tail))
+                values = self.gather(x, rows.ids)
                 if scale is not None:
                     values *= scale[..., None]
             sums = np.bincount(self._flat(width), weights=values.ravel(),
                                minlength=self.bound * width)
             return sums.reshape((self.bound,) + tail)
-        views = self._sums.get(tail)
-        if views is None:
-            views = self._sum_views(tail)
-        values, acc, adds = views
+        acc, adds = self._sums.get(width) or self._sum_views(width)
         order = self.slots.perm if rows is None else self.slot_rows(rows)
-        np.take(x, order, axis=0, mode="clip", out=values)
+        values = self.gather(x, order)
         if scale is not None:
             values *= np.take(scale, self.slots.perm, axis=0)[..., None]
         acc.fill(0.0)
         for part, slot in adds:
             np.add(part, slot, out=part)
-        return np.take(acc, self.slots.pos, axis=0)
+        return np.take(acc, self.slots.pos, axis=0).reshape(
+            (self.bound,) + tail)
 
     def _flat(self, width: int) -> np.ndarray:
         """``ids[:, None] * width + arange(width)``, raveled and cached:
@@ -226,16 +230,14 @@ class SegmentPlan:
             self._flats[width] = flat
         return flat
 
-    def _sum_views(self, tail: Tuple[int, ...]) -> Tuple:
-        """(workspace, accumulator, per-slot (accumulator prefix,
-        workspace slot) views) for rows of shape ``tail``."""
-        width = math.prod(tail)
+    def _sum_views(self, width: int) -> Tuple:
+        """(accumulator, per-slot (accumulator prefix, workspace slot)
+        views) for rows of ``width`` values, whatever their shape."""
         work = self.workspace(width)
-        acc = np.zeros((self.bound,) + tail)
-        flat = acc.reshape(self.bound, width)
-        views = (work.reshape((len(self),) + tail), acc,
-                 [(flat[:m], work[lo:lo + m]) for m, lo in self.slots.spans])
-        self._sums[tail] = views
+        acc = np.zeros((self.bound, width))
+        views = (acc, [(acc[:m], work[lo:lo + m])
+                       for m, lo in self.slots.spans])
+        self._sums[width] = views
         return views
 
 

@@ -270,19 +270,33 @@ def test_second_derivative_cubic():
 
 
 def test_second_derivative_of_l1_of_gradient(rng):
-    # the capacity-style objective: d/dw ||dL/dw||_1, with L = sum(tanh(w*x))
-    # and with L the sigmoid cross entropy of the logits w*x
+    # the capacity-style objective: d/dw ||dL/dw||_1, with L the sum of
+    # exp, tanh, sigmoid or elu of w*x, whose VJPs read the op's own
+    # output, and with L the sigmoid cross entropy of the logits w*x
     w = Tensor(rng.normal(size=4), requires_grad=True)
     x_const = rng.normal(size=4)
     targets = rng.random(4)
+    # elu's inputs w*x + shift sit at least 0.5 from its kink at 0, two
+    # on each side
+    shift = np.array([-1.0, -1.0, 1.0, 1.0]) * (
+        np.abs(w.data * x_const) + 0.5)
+
+    def exp_sum():
+        return sum_(exp(mul(w, Tensor(x_const))))
 
     def tanh_sum():
         return sum_(tanh(mul(w, Tensor(x_const))))
 
+    def sigmoid_sum():
+        return sum_(sigmoid(mul(w, Tensor(x_const))))
+
+    def elu_sum():
+        return sum_(elu(add(mul(w, Tensor(x_const)), Tensor(shift))))
+
     def bce():
         return binary_cross_entropy(mul(w, Tensor(x_const)), targets)
 
-    for inner in (tanh_sum, bce):
+    for inner in (exp_sum, tanh_sum, sigmoid_sum, elu_sum, bce):
         with Tape():
             loss = inner()
             g = backward(loss, [w], create_graph=True)

@@ -12,6 +12,7 @@ from gnncl.continual.strategies import (
     StrategyConfig,
     TwpStrategy,
 )
+from gnncl.engine import EmptyBatchError
 from gnncl.graphs import GraphError
 from gnncl.harness.runner import (
     ABLATION_PRESET,
@@ -225,6 +226,24 @@ class TestRunConfig:
 
 
 class TestRunSequence:
+    @pytest.mark.parametrize("dataset", [
+        # one example per class or graph task: all of it trains, or
+        # (at train_fraction 0.4) all of it tests
+        {"kind": "sbm", "nodes_per_class": 1},
+        {"kind": "sbm", "nodes_per_class": 1, "train_fraction": 0.4},
+        {"kind": "graphs", "graphs_per_task": 1},
+        {"kind": "graphs", "graphs_per_task": 1, "train_fraction": 0.4},
+    ])
+    def test_empty_split_refused(self, dataset):
+        # a graph task used to fail deep in merge_graphs ("cannot merge
+        # zero graphs"), and a node task's empty train split in
+        # cross_entropy
+        cfg = run_config_from_dict({
+            "dataset": dataset,
+            "strategy": {"kind": "FINETUNE", "epochs": 1}})
+        with pytest.raises(EmptyBatchError, match="split is empty"):
+            run_sequence(cfg)
+
     def test_negative_noise_sigma_refused(self):
         # a negative sigma used to train on noiseless features
         raw = toy_cfg()

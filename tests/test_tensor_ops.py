@@ -542,6 +542,22 @@ def test_wide_scatter_keeps_no_per_width_index():
     assert len(plan) * 16 == segments.SLOT_VALUES * plan.depth
 
 
+def test_scatters_of_one_width_share_one_accumulator():
+    # (4, 4) rows and (16,) rows are both 16 values wide: a plan that
+    # sums both slot by slot keeps one (bound x 16) accumulator, and
+    # each result still has its own row shape
+    rng = np.random.default_rng(6)
+    ids = rng.permutation(np.repeat(np.arange(64), 10))
+    plan = SegmentPlan(ids, 64)
+    for tail in ((4, 4), (16,)):
+        x = Tensor(rng.standard_normal((640,) + tail))
+        assert np.array_equal(scatter_sum(x, plan, 64).data,
+                              _add_at(x.data, ids, 64))
+    owned = [a for a in _arrays_held(plan)
+             if a.dtype.kind == "f" and a.flags.owndata]
+    assert sum(a.size for a in owned) == 64 * 16
+
+
 @given(_segments(sort=False), st.integers(1, 3), st.integers(1, 3),
        st.data())
 @settings(max_examples=150, deadline=None)

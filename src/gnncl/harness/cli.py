@@ -75,7 +75,7 @@ def _cmd_sweep(args) -> int:
     for cell in failed:
         print(f"# failed {cell.name} seed {cell.seed}: {cell.error}",
               file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_report(args) -> int:

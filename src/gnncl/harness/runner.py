@@ -41,14 +41,6 @@ GRAPHS_DEFAULTS: Dict[str, Any] = {
     "feature_dim": 4, "train_fraction": 0.6,
 }
 
-# ablation preset over a TWP base, ordered weakest to full method
-ABLATION_PRESET: Tuple[Tuple[str, Dict[str, Any]], ...] = (
-    ("W/_Loss", {"strategy": {"lambda_t": 0.0, "beta": 0.0}}),
-    ("W/_TWP", {"strategy": {"beta": 0.0}}),
-    ("Full", {}),
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     dataset: Dict[str, Any]
@@ -340,30 +332,35 @@ def _slug(name: str) -> str:
 
 def resolve_sweep(raw: Mapping[str, Any]
                   ) -> Tuple[Dict[str, Any], List[Tuple[str, Dict[str, Any]]]]:
-    """Split a sweep file into (base run config, named override list)."""
-    known = {"base", "variants", "ablation"}
-    unknown = set(raw) - known
+    """Split a sweep file ``{base, variants}`` into (base run config,
+    named override list); ConfigError on any other shape."""
+    unknown = set(raw) - {"base", "variants"}
     if unknown:
         raise ConfigError(
             f"unknown sweep field(s): {', '.join(sorted(unknown))}")
-    base = dict(raw.get("base", {}))
-    if raw.get("ablation", False):
-        if raw.get("variants"):
-            raise ConfigError("give either 'variants' or 'ablation', not both")
-        base.setdefault("strategy", {})
-        if base["strategy"].get("kind", "TWP") != "TWP":
-            raise ConfigError("the ablation preset needs a TWP base strategy")
-        base["strategy"]["kind"] = "TWP"
-        return base, [(n, dict(o)) for n, o in ABLATION_PRESET]
-    variants = raw.get("variants", [{"name": "base", "overrides": {}}])
+    base = raw.get("base", {})
+    if not isinstance(base, Mapping):
+        raise ConfigError("sweep base must be an object")
+    variants = raw.get("variants", [{"name": "base"}])
+    if not isinstance(variants, list) or not variants:
+        raise ConfigError("sweep variants must be a non-empty list")
     out = []
     for i, v in enumerate(variants):
-        if "name" not in v:
-            raise ConfigError(f"sweep variant {i} is missing 'name'")
-        out.append((str(v["name"]), dict(v.get("overrides", {}))))
+        if not isinstance(v, Mapping) or "name" not in v:
+            raise ConfigError(
+                f"sweep variant {i} must be an object with a 'name'")
+        unknown = set(v) - {"name", "overrides"}
+        if unknown:
+            raise ConfigError(f"unknown field(s) in sweep variant {i}: "
+                              f"{', '.join(sorted(unknown))}")
+        overrides = v.get("overrides", {})
+        if not isinstance(overrides, Mapping):
+            raise ConfigError(f"sweep variant {i} overrides must be an "
+                              "object")
+        out.append((str(v["name"]), dict(overrides)))
     if len({n for n, _ in out}) != len(out):
         raise ConfigError("sweep variant names must be unique")
-    return base, out
+    return dict(base), out
 
 
 @dataclass

@@ -19,18 +19,13 @@ from gnncl.continual.importance import (
     snapshot_topo,
     twp_penalty,
 )
-from gnncl.continual.strategies import (
-    StrategyConfig,
-    TaskView,
-    make_strategy,
-)
+from gnncl.continual.strategies import TaskView
 from gnncl.engine import Tape, Tensor, add, backward
 from gnncl.graphs import load_dataset, save_dataset
-from gnncl.harness.metrics import RMatrix, auc_score, compute_ap_af, evaluate
+from gnncl.harness.metrics import RMatrix, auc_score, compute_ap_af
 from gnncl.harness.runner import (
     build_dataset,
     build_model,
-    resolve_dataset,
     run_config_from_dict,
     run_sequence,
 )
@@ -71,19 +66,11 @@ def run_cell(backbone, overrides, seed):
     key = (backbone, _strategy_key(overrides), seed)
     if key in _CACHE:
         return _CACHE[key]
-    seq = build_dataset(resolve_dataset({"kind": "sbm"}), seed)
-    view = TaskView(seq)
-    model = build_model(seq, ModelConfig(backbone=backbone), seed)
-    strat = make_strategy(StrategyConfig(**overrides), model, view, seed)
-    t = len(seq.tasks)
-    r = RMatrix(t)
-    for k in range(t):
-        strat.train_task(k)
-        for j in range(k + 1):
-            r.set(k, j, evaluate(model, view, j, "accuracy"))
-    ap, af, _ = compute_ap_af(r)
-    drop0 = float(r.values[0, 0] - r.values[t - 1, 0])
-    _CACHE[key] = (ap, af, drop0)
+    result = run_sequence(run_config_from_dict(
+        {"dataset": {"kind": "sbm"}, "model": {"backbone": backbone},
+         "strategy": overrides, "seed": seed}))
+    r = result.r.values
+    _CACHE[key] = (result.ap, result.af, float(r[0, 0] - r[-1, 0]))
     return _CACHE[key]
 
 

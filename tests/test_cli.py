@@ -112,7 +112,7 @@ def test_sweep_cell_failures_go_to_stderr(tmp_path, capsys):
              "variants": [{"name": "bad",
                            "overrides": {"metric": "auc"}}]}
     cfg = write_json(tmp_path / "sweep.json", sweep)
-    assert main(["sweep", "--config", cfg, "--seeds", "0"]) == 0
+    assert main(["sweep", "--config", cfg, "--seeds", "0"]) == 1
     captured = capsys.readouterr()
     assert "bad,0,,,,,1" in captured.out
     assert "failed bad seed 0" in captured.err

@@ -15,8 +15,8 @@ from gnncl.continual.strategies import (
 from gnncl.engine import EmptyBatchError
 from gnncl.graphs import GraphError
 from gnncl.harness.runner import (
-    ABLATION_PRESET,
     SBM_DEFAULTS,
+    _deep_merge,
     resolve_sweep,
     resolved_dict,
     run_config_from_dict,
@@ -342,7 +342,7 @@ class TestResolveSweep:
             resolve_sweep({"base": {}, "grid": []})
 
     def test_ablation_preset(self):
-        raw = {"base": {"strategy": {"kind": "TWP"}}, "ablation": True}
+        raw = json.loads((SWEEPS / "ablation.json").read_text())
         _, variants = resolve_sweep(raw)
         assert [n for n, _ in variants] == ["W/_Loss", "W/_TWP", "Full"]
         by_name = dict(variants)
@@ -352,14 +352,31 @@ class TestResolveSweep:
         assert by_name["Full"] == {}
 
     def test_ablation_requires_twp_base(self):
-        with pytest.raises(ConfigError):
+        # the ablation is a TWP-only sweep file; the old switch is refused
+        for _, raw in _merged_variants(SWEEPS / "ablation.json"):
+            assert raw["strategy"]["kind"] == "TWP"
+        with pytest.raises(ConfigError, match="unknown sweep field"):
             resolve_sweep({"base": {"strategy": {"kind": "EWC"}},
                            "ablation": True})
 
     def test_ablation_conflicts_with_variants(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown sweep field"):
             resolve_sweep({"base": {}, "ablation": True,
                            "variants": [{"name": "x"}]})
+
+    @pytest.mark.parametrize("raw, match", [
+        ({"base": {}, "ablation": True}, "unknown sweep field"),
+        ({"variants": []}, "non-empty list"),
+        ({"variants": {"name": "a"}}, "non-empty list"),
+        ({"variants": [{"name": "a", "overrides": [1]}]},
+         "overrides must be an object"),
+        ({"base": [1]}, "base must be an object"),
+        ({"variants": [{"name": "a", "overide": {}}]}, "overide"),
+    ], ids=["ablation-key", "empty-variants", "variants-not-list",
+            "overrides-not-object", "base-not-object", "variant-typo"])
+    def test_malformed_sweep_rejected(self, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            resolve_sweep(raw)
 
 
 class TestSweep:
@@ -417,6 +434,37 @@ class TestSweep:
             sweep_and_report(toy_cfg(), [("base", {})], [])
 
 
+SWEEPS = Path(__file__).resolve().parents[1] / "sweeps"
+SWEEP_FILES = sorted(SWEEPS.glob("*.json"))
+
+
+def _merged_variants(path):
+    """Every variant of a sweep file as its merged run config dict."""
+    base, variants = resolve_sweep(json.loads(path.read_text()))
+    return [(name, _deep_merge(base, overrides))
+            for name, overrides in variants]
+
+
+@pytest.mark.parametrize("path", SWEEP_FILES, ids=lambda p: p.name)
+def test_committed_sweep_file_resolves(path):
+    for _, raw in _merged_variants(path):
+        run_config_from_dict(raw)
+
+
+def test_committed_sweeps_cover_the_paper_tables():
+    assert {p.name for p in SWEEP_FILES} >= {
+        "ablation.json", "method_table.json", "forgetting.json",
+        "beta_by_size.json"}
+
+
 def test_ablation_preset_is_frozen():
-    # the preset itself is part of the reporting contract
-    assert [n for n, _ in ABLATION_PRESET] == ["W/_Loss", "W/_TWP", "Full"]
+    # the variant names and strategies are part of the reporting contract
+    merged = _merged_variants(SWEEPS / "ablation.json")
+    assert [n for n, _ in merged] == ["W/_Loss", "W/_TWP", "Full"]
+    assert [raw["strategy"] for _, raw in merged] == [
+        {"kind": "TWP", "lambda_t": 0.0, "beta": 0.0},
+        {"kind": "TWP", "beta": 0.0},
+        {"kind": "TWP"}]
+    for _, raw in merged:
+        assert raw["model"] == {"backbone": "gat"}
+        assert raw["dataset"] == {"kind": "sbm"}

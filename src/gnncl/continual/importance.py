@@ -18,6 +18,7 @@ import numpy as np
 
 from ..engine import (
     GradientMap,
+    SegmentPlan,
     Tape,
     Tensor,
     abs_,
@@ -89,27 +90,28 @@ def _abs_grads(model: GnnModel, grads: GradientMap) -> ArraySet:
 
 def task_loss_from_logits(logits: Tensor, ctx: ForwardContext,
                           local_labels: Optional[np.ndarray],
-                          rows: Optional[np.ndarray] = None) -> Tensor:
+                          rows: Optional[SegmentPlan] = None) -> Tensor:
     """The task loss: cross entropy of class-local node labels, or the
     sigmoid loss of each pooled graph against ``ctx.graph_labels``.
 
-    ``rows`` restricts the loss to the rows of these indices, nodes or
-    pooled graphs; all rows by default.
+    ``rows``, a plan of row indices (nodes or pooled graphs), restricts
+    the loss to those rows with one gather; all rows by default.
     """
-    if ctx.node_to_graph is None:
-        return cross_entropy(logits, local_labels, rows)
-    labels = ctx.graph_labels
+    node = ctx.node_to_graph is None
+    labels = local_labels if node else ctx.graph_labels
     if rows is not None:
         logits = gather_rows(logits, rows)
-        labels = labels[rows]
+        labels = labels[rows.ids]
+    if node:
+        return cross_entropy(logits, labels)
     return binary_cross_entropy(reshape(logits, (logits.shape[0],)), labels)
 
 
-def train_rows(ctx: ForwardContext, task) -> Optional[np.ndarray]:
-    """The rows of ``ctx`` that ``task`` trains on: its ``train`` nodes
-    on a node context, or None (every row) on a pooled context, whose
-    rows are the graphs it was pooled over."""
-    return task.train if ctx.node_to_graph is None else None
+def train_rows(ctx: ForwardContext, task) -> Optional[SegmentPlan]:
+    """The rows of ``ctx`` that ``task`` trains on: the plan of its
+    ``train`` nodes on a node context, or None (every row) on a pooled
+    context, whose rows are the graphs it was pooled over."""
+    return ctx.row_plan(task.train) if ctx.node_to_graph is None else None
 
 
 def compute_importance(model: GnnModel, ctx: ForwardContext, task,
@@ -141,7 +143,7 @@ def snapshot_topo(snapshot: AttentionSnapshot, ctx: ForwardContext,
     if rows is None:
         return snapshot.squared_norm()
     mask = np.zeros(ctx.graph.num_nodes, dtype=bool)
-    mask[rows] = True
+    mask[rows.ids] = True
     return snapshot.squared_norm(mask)
 
 

@@ -18,6 +18,7 @@ from ..engine import (
     Adam,
     EmptyBatchError,
     GradientMap,
+    SegmentPlan,
     Tape,
     Tensor,
     add,
@@ -59,7 +60,7 @@ from .importance import (
 
 STRATEGY_KINDS = ("FINETUNE", "JOINT", "EWC", "MAS", "LWF", "GEM", "TWP")
 
-Scored = Tuple[int, ForwardContext, Optional[np.ndarray]]  # see losses
+Scored = Tuple[int, ForwardContext, Optional[SegmentPlan]]  # see losses
 
 
 class ConfigError(ValueError):
@@ -138,18 +139,21 @@ class TaskView:
         return ctx
 
     def split(self, idx: np.ndarray
-              ) -> Tuple[ForwardContext, Optional[np.ndarray]]:
-        """The context and rows scoring examples ``idx``: rows ``idx`` of
-        the shared graph's context (node tasks; their neighbours stay
-        visible), or all rows (None) of the graphs ``idx`` pooled.
-        Training, memories and evaluation all lay out their examples
-        here, so an empty split of either task kind raises
-        :class:`EmptyBatchError` here."""
+              ) -> Tuple[ForwardContext, Optional[SegmentPlan]]:
+        """The context and rows scoring examples ``idx``: the plan of
+        rows ``idx`` kept on the shared graph's context (node tasks;
+        their neighbours stay visible), or all rows (None) of the graphs
+        ``idx`` pooled. Training, memories and evaluation all lay out
+        their examples here, so an empty split of either task kind
+        raises :class:`EmptyBatchError` here, and each index list is
+        validated once."""
         if len(idx) == 0:
             raise EmptyBatchError(
                 "no examples to score: a task's train or test split is "
                 "empty")
-        return (self.ctx, idx) if self.node else (self.pool_ctx(idx), None)
+        if self.node:
+            return self.ctx, self.ctx.row_plan(idx)
+        return self.pool_ctx(idx), None
 
     def train_ctx(self, k: int) -> ForwardContext:
         return self.split(self.seq.tasks[k].train)[0]
@@ -305,14 +309,15 @@ class AnchorStrategy(Strategy):
         _, ctx, rows = self.view.train_item(k)
         with Tape():
             logits, _ = model_forward(self.model, ctx, self.view.seq.tasks[k])
-            if rows is None:
-                rows = range(logits.shape[0])
-            for i in rows:
-                grads = backward(self._example_scalar(k, ctx, logits, int(i)),
+            n = logits.shape[0]
+            ids = np.arange(n) if rows is None else rows.ids
+            for i in range(len(ids)):
+                one = SegmentPlan.rows(ids[i:i + 1], n)
+                grads = backward(self._example_scalar(k, ctx, logits, one),
                                  self.params)
                 for name, p in named:
                     acc[name] += self.transform(grads[p].data)
-        return {name: a / len(rows) for name, a in acc.items()}
+        return {name: a / len(ids) for name, a in acc.items()}
 
     def after_task(self, k: int) -> None:
         importance = self.importance(k)
@@ -328,9 +333,8 @@ class EwcStrategy(AnchorStrategy):
     kind = "EWC"
     transform = np.square
 
-    def _example_scalar(self, k, ctx, logits, i):
-        return task_loss_from_logits(logits, ctx, self.view.labels(k),
-                                     np.asarray([i]))
+    def _example_scalar(self, k, ctx, logits, row):
+        return task_loss_from_logits(logits, ctx, self.view.labels(k), row)
 
 
 class MasStrategy(AnchorStrategy):
@@ -339,8 +343,8 @@ class MasStrategy(AnchorStrategy):
     kind = "MAS"
     transform = np.abs
 
-    def _example_scalar(self, k, ctx, logits, i):
-        return sq_l2_norm(gather_rows(logits, np.asarray([i])))
+    def _example_scalar(self, k, ctx, logits, row):
+        return sq_l2_norm(gather_rows(logits, row))
 
 
 class LwfStrategy(Strategy):
@@ -368,7 +372,7 @@ class LwfStrategy(Strategy):
         for t in range(k):
             cols = list(self.view.seq.tasks[t].classes)
             if self.view.node:
-                tl = full[np.ix_(rows, cols)] / tau
+                tl = full[np.ix_(rows.ids, cols)] / tau
                 tl -= tl.max(axis=1, keepdims=True)
                 probs = np.exp(tl)
                 probs /= probs.sum(axis=1, keepdims=True)

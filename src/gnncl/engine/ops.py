@@ -424,78 +424,64 @@ def sq_l2_norm(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # indexed gathers and scatters
 
-def _row_plan(idx, num_rows: int) -> SegmentPlan:
-    """``idx`` as a plan over ``num_rows`` rows; a plan is only checked
-    against the row count."""
-    if isinstance(idx, SegmentPlan):
-        if idx.bound != num_rows:
-            raise ShapeError(
-                f"row index plan bound {idx.bound} != {num_rows} rows")
-        return idx
-    return SegmentPlan.rows(idx, num_rows)
+def _plan(idx, what: str, bound: Optional[int] = None,
+          length: Optional[int] = None) -> SegmentPlan:
+    """``idx``, which must be a :class:`SegmentPlan`, fitted to an
+    operand: its bound to ``bound`` and its length to ``length``, each
+    when given. The plan validated its ids when it was built, so the
+    ops check only the fit. A non-plan raises ``TypeError``, a misfit
+    :class:`ShapeError`."""
+    if not isinstance(idx, SegmentPlan):
+        raise TypeError(
+            f"{what} must be a SegmentPlan, not {type(idx).__name__}")
+    if bound is not None and idx.bound != bound:
+        raise ShapeError(f"{what} plan bound {idx.bound} != {bound}")
+    if length is not None and len(idx) != length:
+        raise ShapeError(f"{what} plan of {len(idx)} entries for {length}")
+    return idx
 
 
-def _segment_plan(ids, num_rows: int, num_segments: int,
-                  what: str = "rows") -> SegmentPlan:
-    """``ids`` as a plan over ``num_segments`` segments covering
-    ``num_rows`` rows. Raw ids are validated but not scanned for
-    segment starts; a plan is only checked against the two counts."""
-    if isinstance(ids, SegmentPlan):
-        if num_segments <= 0:
-            raise SegmentError("num_segments must be positive")
-        if ids.bound != num_segments:
-            raise SegmentError(
-                f"segment plan bound {ids.bound} != {num_segments} "
-                "segments")
-    else:
-        ids = SegmentPlan(ids, num_segments, scan=False)
-    if len(ids) != num_rows:
-        raise ShapeError(f"{num_rows} {what} but {len(ids)} segment ids")
-    return ids
+def gather_rows(x: Tensor, idx: SegmentPlan) -> Tensor:
+    """Select rows ``x[idx.ids]`` (first axis); duplicates allowed.
 
-
-def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows ``x[idx]`` (first axis); duplicates allowed.
-
-    ``idx`` is an integer array or a :class:`SegmentPlan` built for
-    ``x.shape[0]`` rows.
+    ``idx`` is a :class:`SegmentPlan` with bound ``x.shape[0]``.
     """
     x = as_tensor(x)
     n = x.shape[0]
-    plan = _row_plan(idx, n)
+    plan = _plan(idx, "row index", bound=n)
 
     def vjp(g, live):
-        return (scatter_sum(g, plan, n),)
+        return (scatter_sum(g, plan),)
 
     return _apply("gather_rows", np.take(x.data, plan.ids, axis=0), (x,), vjp)
 
 
-def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
-                weights=None) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets given by ``idx``.
+def scatter_sum(x: Tensor, idx: SegmentPlan,
+                src: Optional[SegmentPlan] = None, weights=None) -> Tensor:
+    """Sum rows of ``x`` into the ``idx.bound`` segments of the plan
+    ``idx``, one segment id per row.
 
-    ``idx`` is an integer array or a :class:`SegmentPlan` with bound
-    ``num_segments``. The plan sums (:meth:`SegmentPlan.segment_sums`):
-    slot by slot through its
-    :class:`~gnncl.engine.segments.SlotLayout` when there are enough
-    values per slot, by one ``np.bincount`` otherwise. Either way each
-    bucket adds its rows in row order, starting from +0.0, as the
-    unbuffered ``np.add`` scatter does, so the two agree bit for bit.
+    The plan sums (:meth:`SegmentPlan.segment_sums`): slot by slot
+    through its :class:`~gnncl.engine.segments.SlotLayout` when there
+    are enough values per slot, by one ``np.bincount`` otherwise. Either
+    way each segment adds its rows in row order, starting from +0.0, as
+    the unbuffered ``np.add`` scatter does, so the two agree bit for
+    bit.
 
-    With ``src`` (row indices into ``x``, raw or planned, one per entry
-    of ``idx``) the summed rows are ``x[src]``, and with ``weights`` each
-    of them is scaled first::
+    With ``src`` (a plan of row indices into ``x``, one per entry of
+    ``idx``) the summed rows are ``x[src.ids]``, and with ``weights``
+    each of them is scaled first::
 
         out[v] = sum over e with idx[e] == v of weights[e] * x[src[e]]
 
     ``weights`` has shape ``(E,)`` for ``x`` of shape ``(n, d)``, or
     ``(E, H)`` for ``(n, H, d)``: one factor per row, or per head of a
     row. The gathered rows exist only inside the call, and the result
-    equals ``scatter_sum(mul(gather_rows(x, src), w[..., None]), idx,
-    n)`` bit for bit. The cotangent of ``x`` is this scatter with
-    ``src`` and ``idx`` swapped and that of ``weights`` is
-    :func:`edge_dot`, whose cotangents are again such scatters, so no
-    gathered rows stay on a tape at any order.
+    equals ``scatter_sum(mul(gather_rows(x, src), w[..., None]), idx)``
+    bit for bit. The cotangent of ``x`` is this scatter with ``src`` and
+    ``idx`` swapped and that of ``weights`` is :func:`edge_dot`, whose
+    cotangents are again such scatters, so no gathered rows stay on a
+    tape at any order.
     """
     x = as_tensor(x)
     n = x.shape[0]
@@ -504,10 +490,10 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
     if src is None:
         if weights is not None:
             raise ShapeError("weights scale gathered rows; give src")
-        plan = _segment_plan(idx, n, num_segments)
+        plan = _plan(idx, "segment ids", length=n)
     else:
-        rows = _row_plan(src, n)
-        plan = _segment_plan(idx, len(rows), num_segments)
+        rows = _plan(src, "src rows", bound=n)
+        plan = _plan(idx, "segment ids", length=len(rows))
         if weights is not None:
             weights = as_tensor(weights)
             if x.ndim < 2 or weights.shape != (len(rows),) + x.shape[1:-1]:
@@ -521,7 +507,7 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
     def vjp(g, live):
         if rows is None:
             return (gather_rows(g, plan),)
-        gx = (scatter_sum(g, rows, n, src=plan, weights=weights)
+        gx = (scatter_sum(g, rows, src=plan, weights=weights)
               if live[0] else None)
         if weights is None:
             return (gx,)
@@ -530,26 +516,25 @@ def scatter_sum(x: Tensor, idx, num_segments: int, src=None,
     return _apply("scatter_sum", data, inputs, vjp)
 
 
-def edge_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
+def edge_dot(a: Tensor, b: Tensor, ia: SegmentPlan,
+             ib: SegmentPlan) -> Tensor:
     """One score per edge: ``out[e]`` is the sum over the last axis of
     ``a[ia[e]] * b[ib[e]]``.
 
     ``a`` and ``b`` share their shape past the first axis, ``(d,)`` or
     ``(H, d)``, and the output has shape ``(E,)`` or ``(E, H)``.
-    ``ia`` and ``ib`` are row indices, raw or planned, of one length E.
-    The result equals ``sum_axis(mul(gather_rows(a, ia),
-    gather_rows(b, ib)), -1)`` bit for bit. Each input's cotangent is
-    one :func:`scatter_sum` of the other input, weighted by the
-    output's cotangent.
+    ``ia`` and ``ib`` are plans of E row indices each, with bounds
+    ``a.shape[0]`` and ``b.shape[0]``. The result equals
+    ``sum_axis(mul(gather_rows(a, ia), gather_rows(b, ib)), -1)`` bit
+    for bit. Each input's cotangent is one :func:`scatter_sum` of the
+    other input, weighted by the output's cotangent.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or a.shape[1:] != b.shape[1:]:
         raise ShapeError(
             f"edge_dot rows of shapes {a.shape} and {b.shape} do not align")
-    na, nb = a.shape[0], b.shape[0]
-    pa, pb = _row_plan(ia, na), _row_plan(ib, nb)
-    if len(pa) != len(pb):
-        raise ShapeError(f"{len(pa)} and {len(pb)} edge endpoints")
+    pa = _plan(ia, "row index", bound=a.shape[0])
+    pb = _plan(ib, "row index", bound=b.shape[0], length=len(pa))
     prod = pa.gather(a.data, pa.ids)
     prod *= (np.take(b.data, pb.ids, axis=0) if pb is pa
              else pb.gather(b.data, pb.ids))
@@ -564,62 +549,47 @@ def edge_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
         data = prod.sum(axis=-1)
 
     def vjp(g, live):
-        return (scatter_sum(b, pa, na, src=pb, weights=g)
-                if live[0] else None,
-                scatter_sum(a, pb, nb, src=pa, weights=g)
-                if live[1] else None)
+        return (scatter_sum(b, pa, src=pb, weights=g) if live[0] else None,
+                scatter_sum(a, pb, src=pa, weights=g) if live[1] else None)
 
     return _apply("edge_dot", data, (a, b), vjp)
 
 
-def _col_plan(cols, width: int) -> SegmentPlan:
-    """``cols`` as a plan over ``width`` columns naming each column at
-    most once; a plan is only checked against the width (and, once, for
-    repeats)."""
-    if isinstance(cols, SegmentPlan):
-        if cols.bound != width:
-            raise ShapeError(
-                f"column index plan bound {cols.bound} != {width} columns")
-    else:
-        cols = SegmentPlan.rows(cols, width, "column index")
-    if not cols.distinct:
-        raise ShapeError("column index repeats a column")
-    return cols
+def take_cols(x: Tensor, cols: SegmentPlan) -> Tensor:
+    """Select columns ``x[:, cols.ids]`` of a matrix.
 
-
-def take_cols(x: Tensor, cols) -> Tensor:
-    """Select columns ``x[:, cols]`` of a matrix.
-
-    ``cols`` is an integer array or a :class:`SegmentPlan` built for
-    ``x.shape[1]`` columns, with no column named twice. The VJP places
-    the gradient back with :func:`place_cols`.
+    ``cols`` is a :class:`SegmentPlan` with bound ``x.shape[1]`` that
+    names no column twice. The VJP places the gradient back with
+    :func:`place_cols`.
     """
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"take_cols expects a matrix, got shape {x.shape}")
-    width = x.shape[1]
-    plan = _col_plan(cols, width)
+    plan = _plan(cols, "column index", bound=x.shape[1])
+    if not plan.distinct:
+        raise ShapeError("column index repeats a column")
 
     def vjp(g, live):
-        return (place_cols(g, plan, width),)
+        return (place_cols(g, plan),)
 
     return _apply("take_cols", np.take(x.data, plan.ids, axis=1), (x,), vjp)
 
 
-def place_cols(x: Tensor, cols, width: int) -> Tensor:
-    """A ``width``-column matrix holding column j of ``x`` at column
-    ``cols[j]`` and zeros elsewhere; the VJP is :func:`take_cols`.
+def place_cols(x: Tensor, cols: SegmentPlan) -> Tensor:
+    """A ``cols.bound``-column matrix holding column j of ``x`` at
+    column ``cols.ids[j]`` and zeros elsewhere; the VJP is
+    :func:`take_cols`.
 
-    ``cols`` is an integer array or a :class:`SegmentPlan` with bound
-    ``width``, with no column named twice.
+    ``cols`` is a :class:`SegmentPlan` with one entry per column of
+    ``x`` that names no column twice.
     """
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"place_cols expects a matrix, got shape {x.shape}")
-    plan = _col_plan(cols, width)
-    if len(plan) != x.shape[1]:
-        raise ShapeError(f"{x.shape[1]} columns but {len(plan)} places")
-    data = np.zeros((x.shape[0], width))
+    plan = _plan(cols, "column index", length=x.shape[1])
+    if not plan.distinct:
+        raise ShapeError("column index repeats a column")
+    data = np.zeros((x.shape[0], plan.bound))
     data[:, plan.ids] = x.data
 
     def vjp(g, live):
@@ -644,27 +614,24 @@ def segment_max(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     return out
 
 
-def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
+def segment_softmax(scores: Tensor, plan: SegmentPlan) -> Tensor:
     """Softmax over groups of the rows of ``scores``, column by column.
 
-    ``scores`` has shape ``(E,)`` or ``(E, H)``; ``segment_ids[e]``
+    ``scores`` has shape ``(E,)`` or ``(E, H)``; the plan's id ``e``
     names the group of row e, and in each column the entries of each
     group sum to 1 in the output. An ``(E, H)`` call equals H calls on
     its columns bit for bit: the per-group sums are one width-H
     :func:`scatter_sum`, which adds each column's rows in row order
-    whatever the width. Every group in
-    ``[0, num_segments)`` must be non-empty. The per-group max is
-    subtracted as a constant before exponentiation; shift invariance
-    keeps all derivatives exact. ``segment_ids`` is an integer array or
-    a :class:`SegmentPlan`; see :func:`segment_max` for how the max is
-    taken.
+    whatever the width. Every group in ``[0, plan.bound)`` must be
+    non-empty. The per-group max is subtracted as a constant before
+    exponentiation; shift invariance keeps all derivatives exact. See
+    :func:`segment_max` for how the max is taken.
     """
     scores = as_tensor(scores)
     if scores.ndim not in (1, 2):
         raise ShapeError(
             f"scores must be 1-D or 2-D, got shape {scores.shape}")
-    plan = _segment_plan(segment_ids, scores.shape[0], num_segments,
-                         what="scores")
+    plan = _plan(plan, "segment ids", length=scores.shape[0])
     if len(plan) == 0:
         raise SegmentError("segment_softmax over zero scores")
     if plan.starts is None and not plan.counts.all():
@@ -673,8 +640,7 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
     seg_max = segment_max(scores.data, plan)
     shifted = sub(scores, Tensor(np.take(seg_max, plan.ids, axis=0)))
     num = exp(shifted)
-    denom = scatter_sum(num, plan, num_segments)
-    return div(num, gather_rows(denom, plan))
+    return div(num, gather_rows(scatter_sum(num, plan), plan))
 
 
 # ---------------------------------------------------------------------------
@@ -691,18 +657,13 @@ def log_softmax(logits: Tensor) -> Tensor:
     return sub(z, lse)
 
 
-def cross_entropy(logits: Tensor, labels, rows=None) -> Tensor:
-    """Mean negative log likelihood of integer ``labels`` under ``logits``.
-
-    ``rows`` optionally restricts the mean to the rows of these indices.
-    """
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log likelihood of integer ``labels``, one per row,
+    under ``logits``."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
     labels = np.asarray(labels)
-    if rows is not None:
-        logits = gather_rows(logits, rows)
-        labels = labels[rows]
     n, c = logits.shape
     if n == 0:
         raise EmptyBatchError("cross_entropy over zero rows")

@@ -1,13 +1,16 @@
-"""Validated index vectors for the indexed ops.
+"""Validated index vectors, the one index type of the indexed ops.
 
 A :class:`SegmentPlan` holds int64 ids in ``[0, bound)``, checked once
 when the plan is built. ``gather_rows``, ``scatter_sum`` (its segment
-ids and its ``src`` rows), ``edge_dot`` and ``segment_softmax`` accept
-a plan wherever they accept an index array; given a plan they only
-compare its length and bound with the tensor, so an index used on every
-forward pass (and by the VJPs of the ops that use it, which swap the
-row and segment roles of an edge's two endpoints) is validated once
-rather than per call.
+ids and its ``src`` rows), ``edge_dot``, ``segment_softmax``,
+``take_cols`` and ``place_cols`` take plans only and read their counts
+from ``plan.bound``: ``scatter_sum(x, plan, src=, weights=)``,
+``segment_softmax(scores, plan)``, ``place_cols(x, plan)``. They only
+fit the plan's length and bound to the tensor. Plans are built where
+indices enter: ``ForwardContext`` keeps ``adj_src_plan``,
+``adj_dst_plan``, ``edge_plans``, ``pool_plan`` and one ``row_plan``
+per row list, ``class_columns`` one per class set, and
+``SegmentPlan.rows`` builds a one-off.
 """
 
 from __future__ import annotations
@@ -44,18 +47,18 @@ class SegmentPlan:
 
     ``SegmentPlan(ids, num_segments)`` validates segment ids and raises
     :class:`SegmentError`; ``SegmentPlan.rows(idx, num_rows)`` validates
-    row (or column) indices and raises :class:`ShapeError`, as the ops
-    do for raw arrays. Once built, a plan serves both roles: a gather's
-    VJP scatters with the gather's own plan.
+    row (or column) indices and raises :class:`ShapeError`. Once built,
+    a plan serves both roles: a gather's VJP scatters with the gather's
+    own plan.
 
-    With ``scan=True`` (the default) the ids are checked for the CSR
-    layout: when they are sorted and every segment is non-empty,
-    ``starts`` holds the first position of each segment, which lets
-    ``segment_softmax`` take its max with ``np.maximum.reduceat``.
-    Otherwise ``starts`` is None. ``counts`` caches the segment sizes,
-    ``depth`` the largest of them, ``distinct`` whether no id repeats,
-    and ``slots`` the :class:`SlotLayout` that ``segment_sums`` sums
-    through for ``scatter_sum``. ``workspace(width)`` is the array that
+    Segment ids are checked for the CSR layout: when they are sorted and
+    every segment is non-empty, ``starts`` holds the first position of
+    each segment, which lets ``segment_softmax`` take its max with
+    ``np.maximum.reduceat``. Otherwise, and for row plans, ``starts`` is
+    None. ``counts`` caches the segment sizes, ``depth`` the largest of
+    them, ``distinct`` whether no id repeats, and ``slots`` the
+    :class:`SlotLayout` that ``segment_sums`` sums through for
+    ``scatter_sum``. ``workspace(width)`` is the array that
     the indexed kernels gather rows of ``width`` values into. Multi-head
     layers scatter rows of ``H * d`` values over the one plan of their
     graph; every width shares the one layout and the one buffer, so the
@@ -67,12 +70,12 @@ class SegmentPlan:
     __slots__ = ("ids", "bound", "starts", "_slots", "_slot_rows", "_work",
                  "_sums", "_flats", "_counts", "_depth")
 
-    def __init__(self, ids, num_segments: int, scan: bool = True):
+    def __init__(self, ids, num_segments: int):
         num_segments = int(num_segments)
         if num_segments <= 0:
             raise SegmentError("num_segments must be positive")
         self._init(check_index(ids, num_segments, SegmentError,
-                               "segment ids"), num_segments, scan)
+                               "segment ids"), num_segments, scan=True)
 
     @classmethod
     def rows(cls, idx, num_rows: int,

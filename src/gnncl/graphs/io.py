@@ -103,9 +103,13 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
     for key in ("num_nodes", "directed", "edges"):
         if key not in gspec:
             raise DatasetError(f"graph.json: missing key '{key}'")
-    num_nodes = gspec["num_nodes"]
-    if not isinstance(num_nodes, int) or num_nodes <= 0:
+    num_nodes, directed = gspec["num_nodes"], gspec["directed"]
+    if (not isinstance(num_nodes, int) or isinstance(num_nodes, bool)
+            or num_nodes <= 0):
         raise DatasetError(f"graph.json: bad num_nodes {num_nodes!r}")
+    if not isinstance(directed, bool):
+        raise DatasetError(
+            f"graph.json: directed must be true or false, got {directed!r}")
 
     features: List[List[float]] = []
     width: Optional[int] = None
@@ -156,7 +160,7 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
     try:
         graph = graph_from_edges(num_nodes, gspec["edges"],
                                  np.asarray(features), label_arr,
-                                 directed=bool(gspec["directed"]))
+                                 directed=directed)
     except (GraphError, ValueError) as e:
         raise DatasetError(f"graph.json: {e}") from None
 

@@ -11,6 +11,7 @@ from typing import List, Optional
 from ..graphs import save_dataset
 from .runner import (
     build_dataset,
+    check_seed,
     resolve_dataset,
     resolve_sweep,
     run_config_from_dict,
@@ -31,7 +32,8 @@ def _load_json(path: str) -> dict:
 def _cmd_gen_data(args) -> int:
     raw = _load_json(args.config)
     dataset = raw.get("dataset", raw if "kind" in raw else {})
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    seed = check_seed(args.seed if args.seed is not None
+                      else raw.get("seed", 0))
     seq = build_dataset(resolve_dataset(dataset), seed)
     save_dataset(seq, args.out)
     print(json.dumps({"out": args.out, "num_tasks": len(seq.tasks),

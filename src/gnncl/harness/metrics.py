@@ -66,8 +66,8 @@ def evaluate(model: GnnModel, view: TaskView, j: int,
     if view.node:
         if metric == "auc":
             raise MetricError("AUC applies to binary graph tasks only")
-        pred = np.argmax(out[rows], axis=1)
-        return accuracy(pred, view.local_labels[j][rows])
+        pred = np.argmax(out[rows.ids], axis=1)
+        return accuracy(pred, view.local_labels[j][rows.ids])
     labels = ctx.graph_labels.astype(np.int64)
     scores = out[:, 0]
     if metric == "auc":

@@ -143,6 +143,13 @@ def _check_unread(section: str, raw: Mapping[str, Any], choice: str,
             f"{', '.join(owners)} {noun} only, not '{choice}'")
 
 
+def check_seed(seed: Any) -> int:
+    """``seed``, if a non-negative integer and not a bool."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     known = {"dataset", "model", "strategy", "metric", "seed", "out_dir"}
     unknown = set(raw) - known
@@ -161,9 +168,7 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
         "metric", "auc" if dataset["kind"] == "graphs" else "accuracy")
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got '{metric}'")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_seed(raw.get("seed", 0))
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string path")

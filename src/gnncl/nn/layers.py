@@ -73,8 +73,8 @@ class GcnLayer:
     def forward(self, h: Tensor, ctx) -> Tensor:
         adj = ctx.adj
         hw = matmul(h, self.W)
-        agg = scatter_sum(hw, ctx.adj_dst_plan, adj.num_nodes,
-                          src=ctx.adj_src_plan, weights=adj.weights)
+        agg = scatter_sum(hw, ctx.adj_dst_plan, src=ctx.adj_src_plan,
+                          weights=adj.weights)
         return self.act(add(agg, self.b))
 
 
@@ -135,8 +135,8 @@ class GatLayer:
             reshape(add(gather_rows(s_dst, dst), gather_rows(s_src, src)),
                     (len(src), heads)),
             alpha=self.slope)
-        alpha = segment_softmax(logits, dst, n)
-        out = scatter_sum(transpose(hw, (1, 0, 2)), dst, n, src=src,
+        alpha = segment_softmax(logits, dst)
+        out = scatter_sum(transpose(hw, (1, 0, 2)), dst, src=src,
                           weights=alpha)
         if self.merge == "concat" or heads == 1:
             out = reshape(out, (n, heads * d))
@@ -187,7 +187,7 @@ class GinLayer:
         g = ctx.graph
         if g.num_edges:
             src, dst = ctx.edge_plans
-            agg = scatter_sum(gather_rows(h, src), dst, g.num_nodes)
+            agg = scatter_sum(gather_rows(h, src), dst)
             z = add(mul(add(Tensor(1.0), self.eps), h), agg)
         else:
             z = mul(add(Tensor(1.0), self.eps), h)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -106,6 +106,8 @@ class ForwardContext:
     node_to_graph: Optional[np.ndarray] = None
     num_graphs: Optional[int] = None
     graph_labels: Optional[np.ndarray] = None
+    _row_plans: Dict[Tuple[int, ...], SegmentPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "ForwardContext":
@@ -143,6 +145,16 @@ class ForwardContext:
         """Graph of each node in a pooled context."""
         return SegmentPlan(self.node_to_graph, self.num_graphs)
 
+    def row_plan(self, idx: np.ndarray) -> SegmentPlan:
+        """Rows ``idx`` of this context's node logits as a plan; built
+        once per index list and kept."""
+        key = tuple(idx.tolist())
+        plan = self._row_plans.get(key)
+        if plan is None:
+            plan = self._row_plans[key] = SegmentPlan.rows(
+                idx, self.graph.num_nodes)
+        return plan
+
 
 @dataclass
 class AttentionSnapshot:
@@ -179,7 +191,7 @@ def nonparam_attention(weight: Tensor, h: Tensor,
     adj, dst = ctx.adj, ctx.adj_dst_plan
     hw = matmul(h, weight)
     scores = edge_dot(hw, tanh(hw), dst, ctx.adj_src_plan)
-    coeffs = segment_softmax(scores, dst, adj.num_nodes)
+    coeffs = segment_softmax(scores, dst)
     return AttentionSnapshot(coeffs=coeffs, edge_dst=adj.edge_dst)
 
 
@@ -307,8 +319,7 @@ def head_logits(model: GnnModel, ctx: ForwardContext,
     if ctx.node_to_graph is not None:
         pool = ctx.pool_plan
         counts = pool.counts.astype(np.float64)
-        emb = div(scatter_sum(emb, pool, ctx.num_graphs),
-                  Tensor(counts[:, None]))
+        emb = div(scatter_sum(emb, pool), Tensor(counts[:, None]))
     return add(matmul(emb, model.head_W), model.head_b)
 
 

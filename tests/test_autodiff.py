@@ -109,35 +109,33 @@ def test_abs_l1_gradients(rng):
 
 def test_gather_scatter_gradients(rng):
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    idx = np.array([0, 0, 3, 4, 1, 1])
-    seg = np.array([0, 1, 1, 0, 2, 2])
-    # raw ids, then the same ids as plans
-    for idx, seg in ((idx, seg), (SegmentPlan.rows(idx, 5),
-                                  SegmentPlan(seg, 3))):
-        def loss():
-            g = gather_rows(x, idx)
-            return sq_l2_norm(scatter_sum(tanh(g), seg, 3))
+    idx = SegmentPlan.rows(np.array([0, 0, 3, 4, 1, 1]), 5)
+    seg = SegmentPlan(np.array([0, 1, 1, 0, 2, 2]), 3)
 
-        assert grad_check(loss, [x]) < TOL
+    def loss():
+        g = gather_rows(x, idx)
+        return sq_l2_norm(scatter_sum(tanh(g), seg))
+
+    assert grad_check(loss, [x]) < TOL
 
 
 def test_segment_softmax_gradients(rng):
     scores = Tensor(rng.normal(size=7), requires_grad=True)
-    seg = np.array([0, 0, 0, 1, 1, 2, 2])
-    for seg in (seg, SegmentPlan(seg, 3)):
-        def loss():
-            return sq_l2_norm(segment_softmax(scores, seg, 3))
+    seg = SegmentPlan(np.array([0, 0, 0, 1, 1, 2, 2]), 3)
 
-        assert grad_check(loss, [scores]) < TOL
+    def loss():
+        return sq_l2_norm(segment_softmax(scores, seg))
+
+    assert grad_check(loss, [scores]) < TOL
 
 
 def test_log_softmax_cross_entropy_gradients(rng):
     logits = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     labels = np.array([0, 1, 2, 3, 1, 0])
-    mask = np.array([True, True, False, True, True, False])
+    rows = SegmentPlan.rows(np.array([0, 1, 3, 4]), 6)
 
     def loss():
-        return cross_entropy(logits, labels, np.flatnonzero(mask))
+        return cross_entropy(gather_rows(logits, rows), labels[rows.ids])
 
     assert grad_check(loss, [logits]) < TOL
 
@@ -272,14 +270,22 @@ def test_second_derivative_cubic():
 def test_second_derivative_of_l1_of_gradient(rng):
     # the capacity-style objective: d/dw ||dL/dw||_1, with L the sum of
     # exp, tanh, sigmoid or elu of w*x, whose VJPs read the op's own
-    # output, and with L the sigmoid cross entropy of the logits w*x
+    # output; of log of, or a quotient by, w*x + c with c > 0; of
+    # square(leaky_relu(w*x + shift)); and with L the sigmoid cross
+    # entropy of the logits w*x, or the cross entropy of planned rows of
+    # F (w W)
     w = Tensor(rng.normal(size=4), requires_grad=True)
     x_const = rng.normal(size=4)
     targets = rng.random(4)
-    # elu's inputs w*x + shift sit at least 0.5 from its kink at 0, two
-    # on each side
+    # elu's and leaky_relu's inputs w*x + shift sit at least 0.5 from
+    # their kink at 0, two on each side
     shift = np.array([-1.0, -1.0, 1.0, 1.0]) * (
         np.abs(w.data * x_const) + 0.5)
+    # w*x + c stays at least 0.5 above 0
+    c = Tensor(np.abs(w.data * x_const) + 0.5)
+    feats, proj = rng.normal(size=(6, 4)), rng.normal(size=(4, 3))
+    rows = SegmentPlan.rows(np.array([4, 0, 2, 5]), 6)
+    labels = np.array([2, 0, 1, 1])
 
     def exp_sum():
         return sum_(exp(mul(w, Tensor(x_const))))
@@ -293,10 +299,27 @@ def test_second_derivative_of_l1_of_gradient(rng):
     def elu_sum():
         return sum_(elu(add(mul(w, Tensor(x_const)), Tensor(shift))))
 
+    def log_sum():
+        return sum_(log(add(mul(w, Tensor(x_const)), c)))
+
+    def div_sum():
+        wx = mul(w, Tensor(x_const))
+        return sum_(div(wx, add(wx, c)))
+
+    def leaky_square():
+        return sum_(square(leaky_relu(
+            add(mul(w, Tensor(x_const)), Tensor(shift)))))
+
     def bce():
         return binary_cross_entropy(mul(w, Tensor(x_const)), targets)
 
-    for inner in (exp_sum, tanh_sum, sigmoid_sum, elu_sum, bce):
+    def planned_ce():
+        weight = mul(reshape(w, (4, 1)), Tensor(proj))
+        return cross_entropy(
+            gather_rows(matmul(Tensor(feats), weight), rows), labels)
+
+    for inner in (exp_sum, tanh_sum, sigmoid_sum, elu_sum, log_sum, div_sum,
+                  leaky_square, bce, planned_ce):
         with Tape():
             loss = inner()
             g = backward(loss, [w], create_graph=True)
@@ -317,12 +340,12 @@ def test_second_derivative_of_l1_of_gradient(rng):
 def test_second_derivative_through_softmax(rng):
     scores = Tensor(rng.normal(size=5), requires_grad=True)
     sorted_ids = np.array([0, 0, 1, 1, 1])
-    # raw ids; a sorted plan (max by reduceat); an unsorted plan (max by
-    # maximum.at)
-    for seg in (sorted_ids, SegmentPlan(sorted_ids, 2),
+    # a sorted plan (max by reduceat); the same ids as row indices, never
+    # scanned for starts, and an unsorted plan (both max by maximum.at)
+    for seg in (SegmentPlan(sorted_ids, 2), SegmentPlan.rows(sorted_ids, 2),
                 SegmentPlan(np.array([1, 0, 1, 0, 1]), 2)):
         def inner():
-            return sq_l2_norm(segment_softmax(scores, seg, 2))
+            return sq_l2_norm(segment_softmax(scores, seg))
 
         with Tape():
             loss = inner()
@@ -345,25 +368,25 @@ def test_second_derivative_through_column_primitives(rng):
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3)))
     v = Tensor(rng.normal(size=(3, 4)))
-    take, place = np.array([4, 0, 2]), np.array([3, 1, 0])
-    for take, place in ((take, place), (SegmentPlan.rows(take, 5),
-                                        SegmentPlan.rows(place, 4))):
-        def inner():
-            placed = place_cols(mul(take_cols(x, take), w), place, 4)
-            return sum_(mul(tanh(placed), v))
+    take = SegmentPlan.rows(np.array([4, 0, 2]), 5)
+    place = SegmentPlan.rows(np.array([3, 1, 0]), 4)
 
+    def inner():
+        placed = place_cols(mul(take_cols(x, take), w), place)
+        return sum_(mul(tanh(placed), v))
+
+    with Tape():
+        g = backward(inner(), [x], create_graph=True)
+        outer = backward(sum_(abs_(g[x])), [x])
+    analytic = outer[x].data
+
+    def cap_value():
         with Tape():
             g = backward(inner(), [x], create_graph=True)
-            outer = backward(sum_(abs_(g[x])), [x])
-        analytic = outer[x].data
+            return sum_(abs_(g[x])).item()
 
-        def cap_value():
-            with Tape():
-                g = backward(inner(), [x], create_graph=True)
-                return sum_(abs_(g[x])).item()
-
-        numeric = central_diff(cap_value, [x.data], eps=1e-5)[0]
-        assert max_rel_err(analytic, numeric) < 1e-6
+    numeric = central_diff(cap_value, [x.data], eps=1e-5)[0]
+    assert max_rel_err(analytic, numeric) < 1e-6
 
 
 def test_second_derivative_through_fused_edge_kernels(rng):
@@ -371,34 +394,33 @@ def test_second_derivative_through_fused_edge_kernels(rng):
     # edge_dot and normalized per destination, as in a GAT layer, then
     # used by the fused scatter: the double backward runs the VJPs of
     # both ops' VJPs. Rows of (n, d) with (E,) weights, and (n, H, d)
-    # with (E, H) weights; raw ids, then plans.
-    src = np.array([0, 2, 3, 1, 1, 0, 3])
-    dst = np.array([0, 0, 1, 1, 2, 2, 2])
+    # with (E, H) weights.
+    s = SegmentPlan.rows(np.array([0, 2, 3, 1, 1, 0, 3]), 4)
+    t = SegmentPlan(np.array([0, 0, 1, 1, 2, 2, 2]), 3)
     for tail in ((3,), (2, 3)):
         x = Tensor(rng.normal(size=(4,) + tail), requires_grad=True)
         y = Tensor(rng.normal(size=(3,) + tail), requires_grad=True)
         v = Tensor(rng.normal(size=(3,) + tail))
         operands = [x, y]
-        for s, t in ((src, dst), (SegmentPlan.rows(src, 4),
-                                  SegmentPlan(dst, 3))):
-            def capacity():
-                w = segment_softmax(edge_dot(y, x, t, s), t, 3)
-                out = scatter_sum(x, t, 3, src=s, weights=w)
-                loss = sum_(mul(tanh(out), v))
-                g = backward(loss, operands, create_graph=True)
-                return add(sum_(abs_(g[x])), sum_(abs_(g[y])))
 
+        def capacity():
+            w = segment_softmax(edge_dot(y, x, t, s), t)
+            out = scatter_sum(x, t, src=s, weights=w)
+            loss = sum_(mul(tanh(out), v))
+            g = backward(loss, operands, create_graph=True)
+            return add(sum_(abs_(g[x])), sum_(abs_(g[y])))
+
+        with Tape():
+            outer = backward(capacity(), operands)
+
+        def cap_value():
             with Tape():
-                outer = backward(capacity(), operands)
+                return capacity().item()
 
-            def cap_value():
-                with Tape():
-                    return capacity().item()
-
-            numeric = central_diff(cap_value, [p.data for p in operands],
-                                   eps=1e-5)
-            for p, num in zip(operands, numeric):
-                assert max_rel_err(outer[p].data, num) < 1e-6
+        numeric = central_diff(cap_value, [p.data for p in operands],
+                               eps=1e-5)
+        for p, num in zip(operands, numeric):
+            assert max_rel_err(outer[p].data, num) < 1e-6
 
 
 def test_second_derivative_through_flat_concat(rng):

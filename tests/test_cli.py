@@ -92,6 +92,24 @@ def test_gen_data_accepts_bare_dataset_config(tmp_path, capsys):
     assert info["seed"] == 4
 
 
+@pytest.mark.parametrize("seed, flag", [
+    (True, None), (2.0, None), (-2, None), (0, "-2")])
+def test_gen_data_checks_its_seed_as_run_does(tmp_path, capsys, seed, flag):
+    # a bool, a float or a negative seed, in the config or on the command
+    # line, is refused as a config error and writes nothing
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"dataset": {"kind": "sbm"}, "seed": seed})
+    out = tmp_path / "data"
+    argv = ["gen-data", "--config", cfg, "--out", str(out)]
+    if flag is not None:
+        argv += ["--seed", flag]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ConfigError"
+    assert "seed" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_sweep_prints_aggregate(tmp_path, capsys):
     sweep = {"base": TOY_RUN,
              "variants": [{"name": "v1", "overrides": {}}]}

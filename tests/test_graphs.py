@@ -616,6 +616,24 @@ def test_load_rejects_malformed_edges(tmp_path, edges):
         load_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("directed", "false"), ("directed", 0), ("directed", None),
+    ("num_nodes", True)])
+def test_load_rejects_non_boolean_directed_and_bool_num_nodes(
+        tmp_path, key, value):
+    # "directed" is a JSON boolean: the string "false" is not read as
+    # true, nor is a bool taken for a node count
+    seq = generate_sbm_tasks(2, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
+    save_dataset(seq, tmp_path / "ds")
+    import json
+    p = tmp_path / "ds" / "graph.json"
+    spec = json.loads(p.read_text())
+    spec[key] = value
+    p.write_text(json.dumps(spec))
+    with pytest.raises(DatasetError, match="graph.json"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_save_graph_pool_unsupported(tmp_path):
     seq = generate_graph_classification_tasks(2, 8, (5, 7), seed=0)
     with pytest.raises(DatasetError):

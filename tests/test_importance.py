@@ -49,7 +49,8 @@ def node_setup(backbone="gat", seed=0, n=8, d=3, **model_fields):
 def capacity(model, ctx, task, local, lambda_l, lambda_t, beta):
     """The capacity term on one fresh forward of ``task``."""
     logits, snap = model_forward(model, ctx, task, want_attention=True)
-    loss = task_loss_from_logits(logits, ctx, local, task.train)
+    loss = task_loss_from_logits(logits, ctx, local,
+                                 ctx.row_plan(task.train))
     return capacity_regularizer(model, loss, snapshot_topo(snap, ctx, task),
                                 lambda_l, lambda_t, beta)
 
@@ -62,7 +63,7 @@ def test_loss_importance_matches_finite_differences():
         with Tape():
             logits, _ = model_forward(model, ctx, task)
             return task_loss_from_logits(logits, ctx, local,
-                                         task.train).item()
+                                         ctx.row_plan(task.train)).item()
 
     for name, p in model.named_parameters():
         numeric = np.abs(central_diff(loss_value, [p.data])[0])

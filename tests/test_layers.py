@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gnncl.engine import (
+    SegmentPlan,
     Tape,
     Tensor,
     abs_,
@@ -322,8 +323,8 @@ def per_head_gat(layer, h, ctx):
         out, alpha = single.forward_with_attention(h, ctx)
         alphas.append(alpha)
         if layer.merge == "concat" and heads > 1:
-            out = place_cols(out, np.arange(i * d, (i + 1) * d),
-                             layer.d_out)
+            out = place_cols(out, SegmentPlan.rows(
+                np.arange(i * d, (i + 1) * d), layer.d_out))
         merged = out if merged is None else add(merged, out)
     if layer.merge == "mean" and heads > 1:
         merged = mul(merged, Tensor(1.0 / heads))

@@ -16,10 +16,11 @@ from gnncl.continual.strategies import (
     TaskView,
     make_strategy,
 )
-from gnncl.engine import Tape, add, backward
+from gnncl.engine import Adam, SegmentPlan, Tape, add, backward
 from gnncl.harness.runner import (
     build_dataset,
     build_model,
+    resolve_dataset,
     run_config_from_dict,
     run_sequence,
 )
@@ -277,6 +278,53 @@ class TestOneForwardPerContext:
         assert np.array_equal(got, gem_project(g, want_mem))
 
 
+class TestIndexPlansBuiltOnce:
+    """Indices are validated where they enter: a split's rows, GEM's
+    memories and the graph's own plans are built once and kept, so no
+    epoch after a task's first builds a plan."""
+
+    @pytest.mark.parametrize("kind", ["FINETUNE", "GEM"])
+    def test_no_plan_built_after_a_tasks_first_epoch(self, kind,
+                                                     monkeypatch):
+        built = []
+        init = SegmentPlan._init
+
+        def counted(plan, *args, **kwargs):
+            built.append(plan)
+            init(plan, *args, **kwargs)
+
+        # one (optimizer, plans built by each of its steps) per task
+        tasks = []
+        step = Adam.step
+
+        def stepped(opt, grads):
+            if not tasks or tasks[-1][0] is not opt:
+                tasks.append((opt, []))
+            tasks[-1][1].append(len(built))
+            return step(opt, grads)
+
+        monkeypatch.setattr(SegmentPlan, "_init", counted)
+        monkeypatch.setattr(Adam, "step", stepped)
+        run_sequence(run_config_from_dict({
+            "dataset": {"kind": "sbm"}, "model": {"backbone": "gat"},
+            "strategy": {"kind": kind, "epochs": 10}}))
+        assert [len(counts) for _, counts in tasks] == [10, 10, 10]
+        assert tasks[0][1][0] > 0
+        for _, counts in tasks:
+            assert np.diff(counts).tolist() == [0] * 9
+
+        seq = build_dataset(resolve_dataset({"kind": "sbm"}), 0)
+        view = TaskView(seq)
+        train = seq.tasks[0].train
+        ctx, rows = view.split(train)
+        assert isinstance(rows, SegmentPlan)
+        assert np.array_equal(rows.ids, train)
+        assert view.split(train.copy()) == (ctx, rows)
+        assert view.split(train.copy())[1] is rows
+        assert view.train_item(0)[2] is rows
+        assert view.split(seq.tasks[0].test)[1] is not rows
+
+
 class TestGemBookkeeping:
     def test_memory_sampled_deterministically(self):
         seq, view, mc = _toy()
@@ -449,7 +497,7 @@ class TestTwpCapacityModes:
                                          want_attention=True)
             cap = capacity_regularizer(
                 model, task_loss_from_logits(logits, ctx, view.labels(1),
-                                             task.train),
+                                             ctx.row_plan(task.train)),
                 snapshot_topo(snap, ctx, task), cfg.lambda_l, cfg.lambda_t,
                 cfg.beta)
             want = add(add(loss, pen), cap).item()

@@ -128,10 +128,10 @@ def test_reductions():
 def test_gather_scatter_are_duals():
     with Tape():
         x = Tensor([[1.0], [2.0], [3.0]])
-        idx = np.array([2, 0, 0])
+        idx = SegmentPlan.rows(np.array([2, 0, 0]), 3)
         g = gather_rows(x, idx)
         assert np.allclose(g.data, [[3.0], [1.0], [1.0]])
-        s = scatter_sum(g, idx, 3)
+        s = scatter_sum(g, idx)
         assert np.allclose(s.data, [[2.0], [0.0], [3.0]])
 
 
@@ -140,7 +140,7 @@ def test_segment_softmax_frozen_oracle():
     # first segment -> (0.25, 0.75), singleton segment -> 1
     with Tape():
         scores = Tensor([0.0, np.log(3.0), 5.0])
-        out = segment_softmax(scores, np.array([0, 0, 1]), 2)
+        out = segment_softmax(scores, SegmentPlan(np.array([0, 0, 1]), 2))
     assert np.allclose(out.data, [0.25, 0.75, 1.0], atol=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_segment_softmax_sums_to_one_per_segment():
     seg[:3] = 0
     seg[-1] = 3
     with Tape():
-        out = segment_softmax(Tensor(scores), seg, 4)
+        out = segment_softmax(Tensor(scores), SegmentPlan(seg, 4))
     sums = np.bincount(seg, weights=out.data, minlength=4)
     present = np.bincount(seg, minlength=4) > 0
     assert np.allclose(sums[present], 1.0)
@@ -161,88 +161,99 @@ def test_segment_softmax_sums_to_one_per_segment():
 def test_gather_scatter_validation():
     x = Tensor(np.ones((3, 2)))
     with Tape():
-        # bad row indices: ShapeError, whether raw or built into a plan
+        # bad row indices are refused as the plan is built: ShapeError
         for bad in (np.array([0, 3]), np.array([-1]), np.array([[0]]),
                     np.array([0.0])):
             with pytest.raises(ShapeError):
-                gather_rows(x, bad)
-            with pytest.raises(ShapeError):
                 SegmentPlan.rows(bad, 3)
-        # bad segment ids: SegmentError, whether raw or built into a plan
+        # bad segment ids or count: SegmentError
         for bad in (np.array([0, 0, 2]), np.array([0, -1, 1]),
                     np.array([[0, 0, 1]]), np.array([0.0, 0.0, 1.0])):
             with pytest.raises(SegmentError):
-                scatter_sum(x, bad, 2)
-            with pytest.raises(SegmentError):
                 SegmentPlan(bad, 2)
         with pytest.raises(SegmentError):
-            scatter_sum(x, np.array([0, 0, 1]), 0)
-        with pytest.raises(SegmentError):
             SegmentPlan(np.array([0, 0, 1]), 0)
-        with pytest.raises(ShapeError):
-            scatter_sum(x, np.array([0, 1]), 2)
         # a valid plan whose bound or length does not fit the tensor
         with pytest.raises(ShapeError):
             gather_rows(x, SegmentPlan.rows(np.array([0, 1]), 4))
-        with pytest.raises(SegmentError):
-            scatter_sum(x, SegmentPlan(np.array([0, 0, 1]), 3), 2)
         with pytest.raises(ShapeError):
-            scatter_sum(x, SegmentPlan(np.array([0, 1]), 2), 2)
+            scatter_sum(x, SegmentPlan(np.array([0, 1]), 2))
+
+
+def _indexed_calls():
+    """Each indexed op's call with one index left open, and a plan that
+    fits it."""
+    x = Tensor(np.ones((3, 2)))
+    rows = SegmentPlan.rows(np.array([0, 2, 2]), 3)
+    seg = SegmentPlan(np.array([0, 1, 1]), 2)
+    col = SegmentPlan.rows(np.array([1]), 2)
+    return {
+        "gather_rows": (lambda i: gather_rows(x, i), rows),
+        "scatter_sum-idx": (lambda i: scatter_sum(x, i), seg),
+        "scatter_sum-src": (lambda i: scatter_sum(x, seg, src=i), rows),
+        "edge_dot-ia": (lambda i: edge_dot(x, x, i, rows), rows),
+        "edge_dot-ib": (lambda i: edge_dot(x, x, rows, i), rows),
+        "segment_softmax": (
+            lambda i: segment_softmax(Tensor(np.ones(3)), i), seg),
+        "take_cols": (lambda i: take_cols(x, i), col),
+        "place_cols": (lambda i: place_cols(Tensor(np.ones((3, 1))), i), col),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_indexed_calls()))
+def test_indexed_ops_take_only_plans(call):
+    # a plan is the one index type: the same ids as an array are refused
+    op, plan = _indexed_calls()[call]
+    with Tape():
+        op(plan)
+        with pytest.raises(TypeError, match="SegmentPlan"):
+            op(plan.ids.copy())
 
 
 def test_column_validation():
     x = Tensor(np.ones((2, 3)))
     with Tape():
-        # out of range, repeated, or not integers: raw or as a plan
-        for bad in (np.array([0, 3]), np.array([1, 1]), np.array([0.0])):
+        # out of range or not integers: refused as the plan is built
+        for bad in (np.array([0, 3]), np.array([0.0])):
             with pytest.raises(ShapeError):
-                take_cols(x, bad)
-            with pytest.raises(ShapeError):
-                place_cols(Tensor(np.ones((2, len(bad)))), bad, 3)
+                SegmentPlan.rows(bad, 3)
+        # a repeated column, taken or placed
+        repeated = SegmentPlan.rows(np.array([1, 1]), 3)
         with pytest.raises(ShapeError):
-            take_cols(x, SegmentPlan.rows(np.array([2, 2]), 3))
+            take_cols(x, repeated)
+        with pytest.raises(ShapeError):
+            place_cols(Tensor(np.ones((2, 2))), repeated)
         # a plan whose bound is not the width
         with pytest.raises(ShapeError):
             take_cols(x, SegmentPlan.rows(np.array([0, 1]), 4))
-        with pytest.raises(ShapeError):
-            place_cols(x, SegmentPlan.rows(np.array([0, 1, 2]), 3), 4)
         # one place per column of the input; matrices only
+        first = SegmentPlan.rows(np.array([0]), 3)
         with pytest.raises(ShapeError):
-            place_cols(x, np.array([0, 1]), 3)
+            place_cols(x, SegmentPlan.rows(np.array([0, 1]), 3))
         with pytest.raises(ShapeError):
-            take_cols(Tensor(np.ones(3)), np.array([0]))
+            take_cols(Tensor(np.ones(3)), first)
         with pytest.raises(ShapeError):
-            place_cols(Tensor(np.ones(3)), np.array([0]), 3)
+            place_cols(Tensor(np.ones(3)), first)
 
 
 def test_segment_softmax_validation():
     with Tape():
         with pytest.raises(ShapeError):
-            segment_softmax(Tensor([[[1.0]]]), np.array([0]), 1)
-        with pytest.raises(ShapeError):
-            segment_softmax(Tensor([[[1.0]]]),
-                            SegmentPlan(np.array([0]), 1), 1)
-        with pytest.raises(SegmentError):
-            segment_softmax(Tensor([1.0, 2.0]), np.array([0, 3]), 2)
+            segment_softmax(Tensor([[[1.0]]]), SegmentPlan(np.array([0]), 1))
         with pytest.raises(SegmentError):
             SegmentPlan(np.array([0, 3]), 2)
-        # an empty segment, sorted or not, raw or planned
+        # an empty segment, sorted or not, scanned for starts or not
         for ids in (np.array([0, 2]), np.array([2, 0])):
-            with pytest.raises(SegmentError):
-                segment_softmax(Tensor([1.0, 2.0]), ids, 3)
-            with pytest.raises(SegmentError):
-                segment_softmax(Tensor([1.0, 2.0]), SegmentPlan(ids, 3), 3)
-        with pytest.raises(SegmentError):
-            segment_softmax(Tensor(np.zeros(0)), np.zeros(0, np.int64), 1)
+            for plan in (SegmentPlan(ids, 3), SegmentPlan.rows(ids, 3)):
+                with pytest.raises(SegmentError):
+                    segment_softmax(Tensor([1.0, 2.0]), plan)
         with pytest.raises(SegmentError):
             segment_softmax(Tensor(np.zeros(0)),
-                            SegmentPlan(np.zeros(0, np.int64), 1), 1)
-        # a plan that does not fit the scores or the segment count
+                            SegmentPlan(np.zeros(0, np.int64), 1))
+        # a plan that does not fit the scores
         plan = SegmentPlan(np.array([0, 0, 1]), 2)
         with pytest.raises(ShapeError):
-            segment_softmax(Tensor([1.0, 2.0]), plan, 2)
-        with pytest.raises(SegmentError):
-            segment_softmax(Tensor([1.0, 2.0, 3.0]), plan, 3)
+            segment_softmax(Tensor([1.0, 2.0]), plan)
 
 
 def test_segment_plan_layout():
@@ -269,15 +280,16 @@ def test_segment_plan_layout():
     x = np.arange(5.0)
     for _ in _kernels():
         with Tape():
-            assert np.array_equal(scatter_sum(Tensor(x), plan, 70000).data,
+            assert np.array_equal(scatter_sum(Tensor(x), plan).data,
                                   _add_at(x, ids, 70000))
     # unsorted ids or an empty segment leave no starts
     assert SegmentPlan(np.array([1, 0]), 2).starts is None
     assert SegmentPlan(np.array([0, 2]), 3).starts is None
     assert SegmentPlan(np.array([0, 0]), 2).starts is None
-    # raw ids wrapped by the ops are never scanned; row plans neither
-    assert SegmentPlan(np.array([0, 1]), 2, scan=False).starts is None
+    # row plans are never scanned, and segment plans always are
     assert SegmentPlan.rows(np.array([0, 1]), 2).starts is None
+    with pytest.raises(TypeError):
+        SegmentPlan(np.array([0, 1]), 2, scan=False)
     # the plan owns a read-only copy of its ids
     ids = np.array([0, 1])
     plan = SegmentPlan(ids, 2)
@@ -310,22 +322,25 @@ def test_cross_entropy_mask_and_empty_batch():
     logits = np.array([[5.0, 0.0], [0.0, 5.0], [5.0, 0.0]])
     labels = np.array([0, 1, 1])
     mask = np.array([True, True, False])
+
+    def masked(rows):
+        plan = SegmentPlan.rows(np.flatnonzero(rows), 3)
+        return cross_entropy(gather_rows(Tensor(logits), plan),
+                             labels[plan.ids])
+
     with Tape():
-        partial = cross_entropy(Tensor(logits), labels, np.flatnonzero(mask))
+        partial = masked(mask)
         full = cross_entropy(Tensor(logits[:2]), labels[:2])
     assert partial.item() == pytest.approx(full.item(), rel=1e-12)
     with Tape():
         with pytest.raises(EmptyBatchError):
-            cross_entropy(Tensor(logits), labels,
-                          np.flatnonzero(np.zeros(3, dtype=bool)))
+            masked(np.zeros(3, dtype=bool))
 
 
 def test_cross_entropy_refuses_boolean_rows():
     # rows are indices only; a boolean array is not read as 0/1 rows
-    with Tape():
-        with pytest.raises(ShapeError):
-            cross_entropy(Tensor(np.zeros((3, 2))), np.array([0, 1, 1]),
-                          np.array([True, True, False]))
+    with pytest.raises(ShapeError):
+        SegmentPlan.rows(np.array([True, True, False]), 3)
 
 
 def test_binary_cross_entropy_value_and_stability():
@@ -385,11 +400,11 @@ def test_segment_softmax_invariant_to_shift(values, num_segments):
     # per-segment shift invariance: softmax(x) == softmax(x + c)
     seg = np.arange(len(values)) % num_segments
     seg.sort()
-    used = int(seg.max()) + 1
+    plan = SegmentPlan(seg, int(seg.max()) + 1)
     with Tape():
-        a = segment_softmax(Tensor(values), seg, used).data
+        a = segment_softmax(Tensor(values), plan).data
         shifted = np.asarray(values) + 13.5
-        b = segment_softmax(Tensor(shifted), seg, used).data
+        b = segment_softmax(Tensor(shifted), plan).data
     assert np.allclose(a, b, atol=1e-10)
 
 
@@ -491,9 +506,7 @@ def test_planned_scatter_matches_add_at(seg, k, m, data):
         for x in xs:
             want = _add_at(x, ids, n)
             with Tape():
-                assert np.array_equal(scatter_sum(Tensor(x), plan, n).data,
-                                      want)
-                assert np.array_equal(scatter_sum(Tensor(x), ids, n).data,
+                assert np.array_equal(scatter_sum(Tensor(x), plan).data,
                                       want)
 
 
@@ -530,8 +543,8 @@ def test_wide_scatter_keeps_no_per_width_index():
     y = Tensor(rng.standard_normal((9, 4, 4)))
     w = rng.standard_normal((640, 4))
     with Tape():
-        got = scatter_sum(x, plan, 64)
-        fused = scatter_sum(y, plan, 64, src=src, weights=w)
+        got = scatter_sum(x, plan)
+        fused = scatter_sum(y, plan, src=src, weights=w)
     assert np.array_equal(got.data, _add_at(x.data, ids, 64))
     assert np.array_equal(
         fused.data, _add_at(y.data[rows] * w[..., None], ids, 64))
@@ -551,7 +564,7 @@ def test_scatters_of_one_width_share_one_accumulator():
     plan = SegmentPlan(ids, 64)
     for tail in ((4, 4), (16,)):
         x = Tensor(rng.standard_normal((640,) + tail))
-        assert np.array_equal(scatter_sum(x, plan, 64).data,
+        assert np.array_equal(scatter_sum(x, plan).data,
                               _add_at(x.data, ids, 64))
     owned = [a for a in _arrays_held(plan)
              if a.dtype.kind == "f" and a.flags.owndata]
@@ -588,16 +601,16 @@ def _columns(draw):
     return cols, width
 
 
-@given(_columns(), st.integers(0, 4), st.booleans(), st.data())
+@given(_columns(), st.integers(0, 4), st.data())
 @settings(max_examples=150, deadline=None)
-def test_column_primitives_match_selection_matmuls(col, n, planned, data):
+def test_column_primitives_match_selection_matmuls(col, n, data):
     # with sel the 0/1 matrix picking cols, take_cols is x @ sel and
     # place_cols is y @ sel.T; each one's VJP is the other
     cols, width = col
     k = len(cols)
     sel = np.zeros((width, k))
     sel[cols, np.arange(k)] = 1.0
-    idx = SegmentPlan.rows(cols, width) if planned else cols
+    idx = SegmentPlan.rows(cols, width)
 
     def draw(shape):
         return data.draw(hnp.arrays(np.float64, shape, elements=_finite))
@@ -607,7 +620,7 @@ def test_column_primitives_match_selection_matmuls(col, n, planned, data):
     wx, wy = draw((n, k)), draw((n, width))
     with Tape():
         taken = take_cols(x, idx)
-        placed = place_cols(y, idx, width)
+        placed = place_cols(y, idx)
         assert np.array_equal(taken.data, x.data @ sel)
         assert np.array_equal(placed.data, y.data @ sel.T)
         gx = backward(sum_(mul(taken, Tensor(wx))), [x])[x]
@@ -627,25 +640,27 @@ def test_segment_max_matches_maximum_at(sort, data):
     np.maximum.at(want, ids, values)
     assert np.array_equal(segment_max(values, plan), want)
     if plan.starts is not None and len(ids):
+        # the same ids as row indices carry no starts: max by maximum.at
         with Tape():
-            planned = segment_softmax(Tensor(values), plan, n).data
-            raw = segment_softmax(Tensor(values), ids, n).data
-        assert np.array_equal(planned, raw)
+            scanned = segment_softmax(Tensor(values), plan).data
+            unscanned = segment_softmax(Tensor(values),
+                                        SegmentPlan.rows(ids, n)).data
+        assert np.array_equal(scanned, unscanned)
 
 
 @given(st.booleans(), st.booleans(), st.integers(1, 4), st.data())
 @settings(max_examples=100, deadline=None)
-def test_segment_softmax_columns_match_1d_calls(sort, planned, heads, data):
+def test_segment_softmax_columns_match_1d_calls(sort, scanned, heads, data):
     # an (E, H) call is H 1-D calls on its columns, values and
     # first-order gradients alike, with the max by reduceat (sorted
-    # plan) or by maximum.at (raw ids, unsorted plan)
+    # plan) or by maximum.at (row plan, unsorted plan)
     n = data.draw(st.integers(1, 5))
     extra = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
     ids = np.concatenate([np.arange(n), np.asarray(extra, np.int64)])
     ids = (np.sort(ids) if sort
            else ids[np.asarray(data.draw(st.permutations(range(len(ids)))),
                                np.int64)])
-    seg = SegmentPlan(ids, n) if planned else ids
+    seg = SegmentPlan(ids, n) if scanned else SegmentPlan.rows(ids, n)
     values = data.draw(hnp.arrays(np.float64, (len(ids), heads),
                                   elements=_finite))
     up = data.draw(hnp.arrays(np.float64, (len(ids), heads),
@@ -654,14 +669,14 @@ def test_segment_softmax_columns_match_1d_calls(sort, planned, heads, data):
     for h in range(heads):
         col = Tensor(values[:, h].copy(), requires_grad=True)
         with Tape():
-            want = segment_softmax(col, seg, n)
+            want = segment_softmax(col, seg)
             want_grad = backward(sum_(mul(want, Tensor(up[:, h].copy()))),
                                  [col])[col]
         wants.append((want.data, want_grad.data))
     x = Tensor(values, requires_grad=True)
     for _ in _kernels():
         with Tape():
-            out = segment_softmax(x, seg, n)
+            out = segment_softmax(x, seg)
             grad = backward(sum_(mul(out, Tensor(up))), [x])[x]
         for h, (want, want_grad) in enumerate(wants):
             assert _same(out.data[:, h], want)
@@ -702,10 +717,10 @@ _widths = st.sampled_from([1, 3, 7, 8, 9, 16, 19])
 
 
 @given(_edge_lists(), st.sampled_from(["none", "row", "head"]), _widths,
-       st.integers(1, 3), st.booleans(), st.data())
+       st.integers(1, 3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
-                                                  heads, planned, data):
+                                                  heads, data):
     # out[v] = sum of w[e] * x[src[e]] over idx[e] == v: no weights,
     # one weight per edge on (n, d) rows, or one per edge and head on
     # (n, H, d) rows; values and first-order VJPs bit for bit
@@ -723,17 +738,16 @@ def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
         w = Tensor(draw((e,) + tail[:-1]), requires_grad=True)
         params.append(w)
     up = Tensor(draw((m,) + tail))
-    src, idx = ((SegmentPlan.rows(rows, n), SegmentPlan(ids, m))
-                if planned else (rows, ids))
+    src, idx = SegmentPlan.rows(rows, n), SegmentPlan(ids, m)
     with Tape():
         msgs = gather_rows(x, src)
         if w is not None:
             msgs = mul(msgs, reshape(w, w.shape + (1,)))
-        want = scatter_sum(msgs, idx, m)
+        want = scatter_sum(msgs, idx)
         want_grads = backward(sum_(mul(want, up)), params)
     for _ in _kernels():
         with Tape():
-            out = scatter_sum(x, idx, m, src=src, weights=w)
+            out = scatter_sum(x, idx, src=src, weights=w)
             grads = backward(sum_(mul(out, up)), params)
         assert _same(out.data, want.data)
         assert _same(grads[x].data, want_grads[x].data)
@@ -746,15 +760,14 @@ def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
 
 
 @given(_edge_lists(), st.booleans(), _widths, st.integers(1, 3),
-       st.booleans(), st.data())
+       st.data())
 @settings(max_examples=200, deadline=None)
-def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, planned,
-                                         data):
+def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, data):
     # out[e] = sum over the last axis of a[ia[e]] * b[ib[e]], for
     # (n, d) and (n, H, d) rows; values and first-order VJPs bit for bit;
     # one plan may serve both ends
     rows, ids, na, nb = edges
-    shared = planned and data.draw(st.booleans())
+    shared = data.draw(st.booleans())
     if shared:
         ids, nb = rows, na
     tail = (heads, d) if per_head else (d,)
@@ -765,8 +778,7 @@ def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, planned,
     a = Tensor(draw((na,) + tail), requires_grad=True)
     b = Tensor(draw((nb,) + tail), requires_grad=True)
     up = Tensor(draw((len(rows),) + tail[:-1]))
-    ia, ib = ((SegmentPlan.rows(rows, na), SegmentPlan(ids, nb))
-              if planned else (rows, ids))
+    ia, ib = SegmentPlan.rows(rows, na), SegmentPlan(ids, nb)
     if shared:
         ib = ia
     with Tape():
@@ -783,34 +795,36 @@ def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, planned,
 
 def test_fused_edge_kernel_validation():
     x = Tensor(np.ones((3, 2, 4)))
-    src, dst = np.array([0, 2, 1]), np.array([1, 1, 0])
+    src = SegmentPlan.rows(np.array([0, 2, 1]), 3)
+    dst = SegmentPlan(np.array([1, 1, 0]), 2)
+    ends = SegmentPlan.rows(np.array([1, 1, 0]), 3)
     with Tape():
         # weights scale gathered rows: src is required, and the weights
         # are (E,) for (n, d) rows or (E, H) for (n, H, d) rows
         with pytest.raises(ShapeError):
-            scatter_sum(x, dst, 2, weights=np.ones((3, 2)))
+            scatter_sum(x, dst, weights=np.ones((3, 2)))
         for bad in (np.ones(3), np.ones((3, 4)), np.ones((2, 2))):
             with pytest.raises(ShapeError):
-                scatter_sum(x, dst, 2, src=src, weights=bad)
+                scatter_sum(x, dst, src=src, weights=bad)
         with pytest.raises(ShapeError):
-            scatter_sum(Tensor(np.ones(3)), dst, 2, src=src,
+            scatter_sum(Tensor(np.ones(3)), dst, src=src,
                         weights=np.ones(3))
         # src is checked as rows of x, idx as segments, one per src
         with pytest.raises(ShapeError):
-            scatter_sum(x, dst, 2, src=np.array([0, 3, 1]))
+            scatter_sum(x, dst, src=SegmentPlan.rows(np.array([0, 3, 1]), 4))
         with pytest.raises(ShapeError):
-            scatter_sum(x, dst[:2], 2, src=src)
+            scatter_sum(x, SegmentPlan(np.array([1, 0]), 2), src=src)
         with pytest.raises(SegmentError):
-            scatter_sum(x, np.array([0, 2, 1]), 2, src=src)
+            SegmentPlan(np.array([0, 2, 1]), 2)
         # edge_dot: rows of one shape, endpoints of one length, in range
         with pytest.raises(ShapeError):
-            edge_dot(x, Tensor(np.ones((3, 2, 3))), src, dst)
+            edge_dot(x, Tensor(np.ones((3, 2, 3))), src, ends)
         with pytest.raises(ShapeError):
-            edge_dot(Tensor(np.ones(3)), Tensor(np.ones(3)), src, dst)
+            edge_dot(Tensor(np.ones(3)), Tensor(np.ones(3)), src, ends)
         with pytest.raises(ShapeError):
-            edge_dot(x, x, src, dst[:2])
+            edge_dot(x, x, src, SegmentPlan.rows(np.array([1, 1]), 3))
         with pytest.raises(ShapeError):
-            edge_dot(x, x, src, np.array([0, 3, 1]))
+            edge_dot(x, x, src, SegmentPlan.rows(np.array([0, 3, 1]), 4))
 
 
 _flat_shapes = st.sampled_from([(), (0,), (3,), (2, 0), (2, 3), (2, 1, 3),

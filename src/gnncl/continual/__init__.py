@@ -9,7 +9,6 @@ from .importance import (
     load_records,
     save_records,
     snapshot_topo,
-    task_loss_from_logits,
     twp_penalty,
 )
 from .strategies import (
@@ -27,6 +26,5 @@ __all__ = [
     "PGD_ITERATIONS", "STRATEGY_KINDS", "Strategy", "StrategyConfig",
     "TaskView", "capacity_regularizer", "combine_importance",
     "compute_importance", "gem_project", "load_records",
-    "make_strategy", "save_records", "snapshot_topo",
-    "task_loss_from_logits", "twp_penalty",
+    "make_strategy", "save_records", "snapshot_topo", "twp_penalty",
 ]

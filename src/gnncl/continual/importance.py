@@ -24,23 +24,13 @@ from ..engine import (
     abs_,
     add,
     backward,
-    binary_cross_entropy,
-    cross_entropy,
     flat_concat,
-    gather_rows,
     mul,
-    reshape,
     square,
     sub,
     sum_,
 )
-from ..nn import (
-    AttentionSnapshot,
-    ForwardContext,
-    GnnModel,
-    ModelError,
-    model_forward,
-)
+from ..nn import AttentionSnapshot, GnnModel, ModelError
 from ..nn.checkpoint import read_blob, read_manifest, write_blob
 
 ArraySet = Dict[str, np.ndarray]
@@ -88,77 +78,47 @@ def _abs_grads(model: GnnModel, grads: GradientMap) -> ArraySet:
             for name, p in model.named_parameters()}
 
 
-def task_loss_from_logits(logits: Tensor, ctx: ForwardContext,
-                          local_labels: Optional[np.ndarray],
-                          rows: Optional[SegmentPlan] = None) -> Tensor:
-    """The task loss: cross entropy of class-local node labels, or the
-    sigmoid loss of each pooled graph against ``ctx.graph_labels``.
-
-    ``rows``, a plan of row indices (nodes or pooled graphs), restricts
-    the loss to those rows with one gather; all rows by default.
-    """
-    node = ctx.node_to_graph is None
-    labels = local_labels if node else ctx.graph_labels
-    if rows is not None:
-        logits = gather_rows(logits, rows)
-        labels = labels[rows.ids]
-    if node:
-        return cross_entropy(logits, labels)
-    return binary_cross_entropy(reshape(logits, (logits.shape[0],)), labels)
-
-
-def train_rows(ctx: ForwardContext, task) -> Optional[SegmentPlan]:
-    """The rows of ``ctx`` that ``task`` trains on: the plan of its
-    ``train`` nodes on a node context, or None (every row) on a pooled
-    context, whose rows are the graphs it was pooled over."""
-    return ctx.row_plan(task.train) if ctx.node_to_graph is None else None
-
-
-def compute_importance(model: GnnModel, ctx: ForwardContext, task,
-                       local_labels: Optional[np.ndarray]
+def compute_importance(model: GnnModel, view, k: int
                        ) -> Tuple[ArraySet, ArraySet]:
-    """Both importance maps, |dloss/dp| and |dtopo/dp|, from one forward
-    with attention: the two backward sweeps share its tape. The loss map
-    is |gradient| of the full-batch training loss; the topology map is
-    |gradient| of :func:`snapshot_topo`, whose entries for parameters
-    downstream of the middle layer come out exactly zero (they are on
-    the tape but off its dependency path)."""
+    """Both importance maps of task k, |dloss/dp| and |dtopo/dp|, from
+    one training forward with attention laid out by ``view`` (a
+    :class:`~gnncl.continual.TaskView`): the two backward sweeps share
+    its tape. The loss map is |gradient| of the full-batch training
+    loss; the topology map is |gradient| of :func:`snapshot_topo`,
+    whose entries for parameters downstream of the middle layer come
+    out exactly zero (they are on the tape but off its dependency
+    path)."""
     params = model.parameters()
     with Tape():
-        logits, snapshot = model_forward(model, ctx, task,
-                                         want_attention=True)
-        loss = task_loss_from_logits(logits, ctx, local_labels,
-                                     train_rows(ctx, task))
-        topo = snapshot_topo(snapshot, ctx, task)
+        loss, snapshot = view.train_loss(model, k, want_attention=True)
+        topo = snapshot_topo(snapshot, view.train_item(k)[2])
         i_loss = _abs_grads(model, backward(loss, params))
         i_ts = _abs_grads(model, backward(topo, params))
     return i_loss, i_ts
 
 
-def snapshot_topo(snapshot: AttentionSnapshot, ctx: ForwardContext,
-                  task) -> Tensor:
+def snapshot_topo(snapshot: AttentionSnapshot,
+                  rows: Optional[SegmentPlan]) -> Tensor:
     """Squared l2 norm of a snapshot's coefficients on edges aggregating
-    into the task's training rows (all edges for pooled contexts)."""
-    rows = train_rows(ctx, task)
+    into the node rows of plan ``rows``; None (a pooled split) means all
+    edges."""
     if rows is None:
         return snapshot.squared_norm()
-    mask = np.zeros(ctx.graph.num_nodes, dtype=bool)
+    mask = np.zeros(rows.bound, dtype=bool)
     mask[rows.ids] = True
     return snapshot.squared_norm(mask)
 
 
 def combine_importance(model: GnnModel, i_loss: ArraySet, i_ts: ArraySet,
-                       lambda_l: float, lambda_t: float,
-                       task_index: int) -> ImportanceRecord:
+                       lambda_l: float, lambda_t: float) -> ArraySet:
+    """``lambda_l * i_loss + lambda_t * i_ts``, per parameter."""
     combined: ArraySet = {}
     for name, p in model.named_parameters():
         a, b = i_loss[name], i_ts[name]
         if a.shape != p.shape or b.shape != p.shape:
             raise ModelError(f"importance shape mismatch for '{name}'")
         combined[name] = lambda_l * a + lambda_t * b
-    snapshot = {name: p.data.copy() for name, p in model.named_parameters()}
-    return ImportanceRecord(task_index=task_index, snapshot=snapshot,
-                            importance=combined)
+    return combined
 
 
 def twp_penalty(model: GnnModel,

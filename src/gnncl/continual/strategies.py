@@ -24,6 +24,7 @@ from ..engine import (
     add,
     backward,
     binary_cross_entropy,
+    cross_entropy,
     div,
     flat_concat,
     flat_split,
@@ -38,12 +39,12 @@ from ..engine import (
     take_cols,
 )
 from ..nn import (
+    AttentionSnapshot,
     ForwardContext,
     GnnModel,
     class_columns,
     finite_real,
     head_logits,
-    model_forward,
 )
 from ..graphs import TaskSequence, TaskType
 from .gem import gem_project
@@ -54,7 +55,6 @@ from .importance import (
     combine_importance,
     compute_importance,
     snapshot_topo,
-    task_loss_from_logits,
     twp_penalty,
 )
 
@@ -112,8 +112,10 @@ class StrategyConfig:
 
 
 class TaskView:
-    """Per-sequence forward plumbing: contexts, training rows and
-    class-local labels."""
+    """The one layout of every task: the context and rows that score its
+    examples, the labels and head columns it reads, and its loss (cross
+    entropy on node tasks, sigmoid loss on graph tasks). Training
+    losses, importance, LwF targets and evaluation all score here."""
 
     def __init__(self, seq: TaskSequence):
         self.seq = seq
@@ -155,34 +157,52 @@ class TaskView:
             return self.ctx, self.ctx.row_plan(idx)
         return self.pool_ctx(idx), None
 
-    def train_ctx(self, k: int) -> ForwardContext:
-        return self.split(self.seq.tasks[k].train)[0]
-
     def train_item(self, k: int) -> Scored:
         """Task k's training examples as one (task, context, rows)."""
         return (k,) + self.split(self.seq.tasks[k].train)
 
-    def labels(self, k: int) -> Optional[np.ndarray]:
-        """Class-local node labels of task k; None for graph tasks,
-        whose labels travel on their pooled contexts."""
-        return self.local_labels[k] if self.node else None
+    def forward(self, model: GnnModel, ctx: ForwardContext,
+                want_attention: bool = False
+                ) -> Tuple[Tensor, Optional[AttentionSnapshot]]:
+        """Head logits of every class on ``ctx`` (one row per node, or
+        per pooled graph), plus the middle-layer attention snapshot when
+        requested."""
+        emb, snap = model.forward_embeddings(ctx, want_attention)
+        return head_logits(model, ctx, emb), snap
+
+    def task_logits(self, model: GnnModel, full: Tensor, k: int) -> Tensor:
+        """The columns of task k's classes in head logits ``full``."""
+        return take_cols(full, class_columns(model,
+                                             self.seq.tasks[k].classes))
+
+    def loss(self, logits: Tensor, k: int, ctx: ForwardContext,
+             rows: Optional[SegmentPlan]) -> Tensor:
+        """Task k's loss on ``logits``: cross entropy of class-local node
+        labels, or the sigmoid loss of each pooled graph against
+        ``ctx.graph_labels``. ``rows`` restricts it to those rows with
+        one gather; None scores every row."""
+        labels = self.local_labels[k] if self.node else ctx.graph_labels
+        if rows is not None:
+            logits = gather_rows(logits, rows)
+            labels = labels[rows.ids]
+        if self.node:
+            return cross_entropy(logits, labels)
+        return binary_cross_entropy(reshape(logits, (logits.shape[0],)),
+                                    labels)
 
     def losses(self, model: GnnModel, scored: Sequence[Scored],
                want_attention: bool = False):
         """The loss of each (task, context, rows) in ``scored``, from one
-        forward per distinct context: each loss scores a ``take_cols``
-        slice of that forward's head logits. Returns the losses, then
-        the head logits and attention snapshot of the first context."""
+        forward per distinct context. Returns the losses, then the head
+        logits and attention snapshot of the first context."""
         forwards = {}
         out = []
         for k, ctx, rows in scored:
             if id(ctx) not in forwards:
-                emb, snap = model.forward_embeddings(ctx, want_attention)
-                forwards[id(ctx)] = head_logits(model, ctx, emb), snap
-            logits = take_cols(forwards[id(ctx)][0], class_columns(
-                model, self.seq.tasks[k].classes))
-            out.append(task_loss_from_logits(logits, ctx, self.labels(k),
-                                             rows))
+                forwards[id(ctx)] = self.forward(model, ctx, want_attention)
+            out.append(self.loss(
+                self.task_logits(model, forwards[id(ctx)][0], k), k, ctx,
+                rows))
         return (out,) + forwards[id(scored[0][1])]
 
     def train_loss(self, model: GnnModel, k: int,
@@ -308,7 +328,8 @@ class AnchorStrategy(Strategy):
         acc = {name: np.zeros(p.shape) for name, p in named}
         _, ctx, rows = self.view.train_item(k)
         with Tape():
-            logits, _ = model_forward(self.model, ctx, self.view.seq.tasks[k])
+            full, _ = self.view.forward(self.model, ctx)
+            logits = self.view.task_logits(self.model, full, k)
             n = logits.shape[0]
             ids = np.arange(n) if rows is None else rows.ids
             for i in range(len(ids)):
@@ -334,7 +355,7 @@ class EwcStrategy(AnchorStrategy):
     transform = np.square
 
     def _example_scalar(self, k, ctx, logits, row):
-        return task_loss_from_logits(logits, ctx, self.view.labels(k), row)
+        return self.view.loss(logits, k, ctx, row)
 
 
 class MasStrategy(AnchorStrategy):
@@ -367,17 +388,16 @@ class LwfStrategy(Strategy):
             return
         tau = self.cfg.distill_temperature
         _, ctx, rows = self.view.train_item(k)
-        emb, _ = self.teacher.forward_embeddings(ctx)
-        full = head_logits(self.teacher, ctx, emb).data
+        full, _ = self.view.forward(self.teacher, ctx)
         for t in range(k):
-            cols = list(self.view.seq.tasks[t].classes)
+            logits = self.view.task_logits(self.teacher, full, t).data
             if self.view.node:
-                tl = full[np.ix_(rows.ids, cols)] / tau
+                tl = logits[rows.ids] / tau
                 tl -= tl.max(axis=1, keepdims=True)
                 probs = np.exp(tl)
                 probs /= probs.sum(axis=1, keepdims=True)
             else:
-                probs = sigmoid(full[:, cols[0]] / tau).data
+                probs = sigmoid(logits[:, 0] / tau).data
             self._soft_targets.append(probs)
 
     def objective(self, k: int) -> Tensor:
@@ -386,8 +406,7 @@ class LwfStrategy(Strategy):
         rows = item[2]
         tau = self.cfg.distill_temperature
         for t, probs in enumerate(self._soft_targets):
-            s_logits = take_cols(full, class_columns(
-                self.model, self.view.seq.tasks[t].classes))
+            s_logits = self.view.task_logits(self.model, full, t)
             if self.view.node:
                 s = mul(gather_rows(s_logits, rows), Tensor(1.0 / tau))
                 ce = neg(div(sum_(mul(Tensor(probs), log_softmax(s))),
@@ -457,24 +476,21 @@ class TwpStrategy(AnchorStrategy):
 
     def objective(self, k: int) -> Tensor:
         cfg = self.cfg
-        loss, snap = self.view.train_loss(self.model, k,
-                                          want_attention=cfg.beta > 0)
+        item = self.view.train_item(k)
+        (loss,), _, snap = self.view.losses(self.model, [item],
+                                            want_attention=cfg.beta > 0)
         total = self.anchored(loss)
         if cfg.beta > 0:
-            topo = snapshot_topo(snap, self.view.train_ctx(k),
-                                 self.view.seq.tasks[k])
+            topo = snapshot_topo(snap, item[2])
             total = add(total, capacity_regularizer(
                 self.model, loss, topo, cfg.lambda_l, cfg.lambda_t,
                 cfg.beta))
         return total
 
     def importance(self, k: int) -> ArraySet:
-        i_loss, i_ts = compute_importance(
-            self.model, self.view.train_ctx(k), self.view.seq.tasks[k],
-            self.view.labels(k))
+        i_loss, i_ts = compute_importance(self.model, self.view, k)
         return combine_importance(self.model, i_loss, i_ts,
-                                  self.cfg.lambda_l, self.cfg.lambda_t,
-                                  k).importance
+                                  self.cfg.lambda_l, self.cfg.lambda_t)
 
 
 _STRATEGIES = {

@@ -16,7 +16,6 @@ from typing import List, Optional
 import numpy as np
 
 from .structures import (
-    Graph,
     GraphError,
     TaskSequence,
     TaskSpec,
@@ -157,8 +156,15 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
             f"labels.csv: {len(labels)} labels for {num_nodes} nodes")
     label_arr = np.asarray(labels, dtype=np.int64)
 
+    edges = gspec["edges"]
+    # a JSON true would pass as node 1, as in _parse_mask
+    if isinstance(edges, list) and any(
+            isinstance(v, bool) for e in edges if isinstance(e, list)
+            for v in e):
+        raise DatasetError(
+            "graph.json: edge endpoints must be integers, not true/false")
     try:
-        graph = graph_from_edges(num_nodes, gspec["edges"],
+        graph = graph_from_edges(num_nodes, edges,
                                  np.asarray(features), label_arr,
                                  directed=directed)
     except (GraphError, ValueError) as e:

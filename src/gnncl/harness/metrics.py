@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..continual import TaskView
 from ..engine import EmptyBatchError
-from ..nn import GnnModel, model_forward
+from ..nn import GnnModel
 
 # Predictions are single-label and always inside the task's classes,
 # so micro-F1 equals accuracy; "micro_f1" is an alias for it.
@@ -59,10 +59,9 @@ def evaluate(model: GnnModel, view: TaskView, j: int,
     """
     if metric not in METRICS:
         raise MetricError(f"unknown metric '{metric}'")
-    task = view.seq.tasks[j]
-    ctx, rows = view.split(task.test)
-    logits, _ = model_forward(model, ctx, task)
-    out = logits.data
+    ctx, rows = view.split(view.seq.tasks[j].test)
+    full, _ = view.forward(model, ctx)
+    out = view.task_logits(model, full, j).data
     if view.node:
         if metric == "auc":
             raise MetricError("AUC applies to binary graph tasks only")

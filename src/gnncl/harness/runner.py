@@ -21,7 +21,6 @@ import numpy as np
 from ..continual import ConfigError, StrategyConfig, TaskView, make_strategy
 from ..graphs import (
     TaskSequence,
-    TaskType,
     generate_graph_classification_tasks,
     generate_sbm_tasks,
     load_dataset,
@@ -168,6 +167,9 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
         "metric", "auc" if dataset["kind"] == "graphs" else "accuracy")
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got '{metric}'")
+    if metric == "auc" and dataset["kind"] != "graphs":
+        raise ConfigError("AUC applies to binary graph tasks only, not to "
+                          f"the node tasks of a '{dataset['kind']}' dataset")
     seed = check_seed(raw.get("seed", 0))
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -265,9 +267,9 @@ def run_sequence(cfg: RunConfig) -> RunResult:
     """Train the task sequence under the strategy and fill the matrix.
 
     With an output directory set, emits R.csv, metrics.json,
-    curves.csv, and config.resolved.json. A failure mid-sequence still
-    writes the partial matrix and a flagged metrics.json, then
-    re-raises.
+    curves.csv, and config.resolved.json. A failure at any point after
+    config.resolved.json still writes a flagged metrics.json, plus the
+    partial matrix once the tasks are known, then re-raises.
     """
     t0 = time.perf_counter()
     resolved = resolved_dict(cfg)
@@ -275,28 +277,29 @@ def run_sequence(cfg: RunConfig) -> RunResult:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.resolved.json").write_text(_json_text(resolved))
-    seq = build_dataset(cfg.dataset, cfg.seed)
-    if cfg.metric == "auc" and seq.task_type is TaskType.NODE:
-        raise ConfigError("AUC applies to binary graph tasks only")
-    model = build_model(seq, cfg.model, cfg.seed)
-    view = TaskView(seq)
-    strategy = make_strategy(cfg.strategy, model, view, cfg.seed)
-    num_tasks = len(seq.tasks)
-    r = RMatrix(num_tasks)
+    r: Optional[RMatrix] = None
     loss_curves: List[List[float]] = []
     try:
+        seq = build_dataset(cfg.dataset, cfg.seed)
+        model = build_model(seq, cfg.model, cfg.seed)
+        view = TaskView(seq)
+        strategy = make_strategy(cfg.strategy, model, view, cfg.seed)
+        num_tasks = len(seq.tasks)
+        r = RMatrix(num_tasks)
         for k in range(num_tasks):
             loss_curves.append(strategy.train_task(k))
             for j in range(k + 1):
                 r.set(k, j, evaluate(model, view, j, cfg.metric))
     except Exception as exc:
         if out is not None:
-            (out / "R.csv").write_text(r.to_csv())
-            (out / "curves.csv").write_text(_curves_csv(_filled_curves(r)))
+            if r is not None:
+                (out / "R.csv").write_text(r.to_csv())
+                (out / "curves.csv").write_text(
+                    _curves_csv(_filled_curves(r)))
             (out / "metrics.json").write_text(_json_text({
                 "failed": True,
                 "error": f"{type(exc).__name__}: {exc}",
-                "completed_rows": r.complete_rows(),
+                "completed_rows": 0 if r is None else r.complete_rows(),
                 "wall_clock_s": time.perf_counter() - t0,
             }))
         raise
@@ -391,6 +394,8 @@ def sweep_and_report(base: Mapping[str, Any],
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"sweep seeds repeat a seed: {list(seeds)}")
     out = Path(out_dir) if out_dir else None
     cells: List[SweepCell] = []
     for name, overrides in variants:

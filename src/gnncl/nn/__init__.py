@@ -16,7 +16,6 @@ from .model import (
     class_columns,
     finite_real,
     head_logits,
-    model_forward,
     nonparam_attention,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "AttentionSnapshot", "BACKBONES", "ForwardContext", "GatLayer",
     "GcnLayer", "GinLayer", "GnnModel", "ModelConfig", "ModelError",
     "activation_fn", "class_columns", "finite_real", "head_logits",
-    "load_checkpoint",
-    "model_forward", "nonparam_attention", "read_blob", "save_checkpoint",
+    "load_checkpoint", "nonparam_attention", "read_blob", "save_checkpoint",
     "write_blob",
 ]

@@ -1,7 +1,7 @@
 """GNN models: stacked backbone layers plus a shared class head.
 
-The head covers the union of all tasks' classes; a forward pass returns
-logits restricted to one task's columns. The attention coefficients of
+The head covers the union of all tasks' classes; :func:`class_columns`
+names one task's columns in it. The attention coefficients of
 the middle layer (native for GAT, synthesized for GCN/GIN) are exposed
 as an AttentionSnapshot for sensitivity analysis.
 """
@@ -27,19 +27,16 @@ from ..engine import (
     scatter_sum,
     segment_softmax,
     sq_l2_norm,
-    take_cols,
     tanh,
 )
 from ..graphs import (
     Graph,
     NormalizedAdjacency,
-    TaskSequence,
-    TaskSpec,
-    TaskType,
     merge_graphs,
     normalize_adjacency,
 )
-from .layers import GatLayer, GcnLayer, GinLayer, ModelError, glorot
+from .layers import (GatLayer, GcnLayer, GinLayer, ModelError,
+                     activation_fn, glorot)
 
 BACKBONES = ("gcn", "gat", "gin")
 
@@ -86,10 +83,17 @@ class ModelConfig:
         if not isinstance(self.gin_eps_learnable, bool):
             raise ModelError("gin_eps_learnable must be true or false, got "
                              f"{self.gin_eps_learnable!r}")
+        activation_fn(self.activation)  # ModelError unless in the table
         if self.backbone == "gat" and len(self.heads) != self.num_layers:
             raise ModelError(
                 f"{self.num_layers} layers need {self.num_layers} head "
                 f"counts, got {self.heads}")
+        # every GAT layer but the last concatenates its heads
+        if self.backbone == "gat" and any(
+                self.hidden_dim % h for h in self.heads[:-1]):
+            raise ModelError(
+                f"hidden_dim {self.hidden_dim} must split evenly over the "
+                f"concatenated heads {self.heads[:-1]}")
 
 
 @dataclass
@@ -321,18 +325,3 @@ def head_logits(model: GnnModel, ctx: ForwardContext,
         counts = pool.counts.astype(np.float64)
         emb = div(scatter_sum(emb, pool), Tensor(counts[:, None]))
     return add(matmul(emb, model.head_W), model.head_b)
-
-
-def model_forward(model: GnnModel, ctx: ForwardContext, task: TaskSpec,
-                  want_attention: bool = False
-                  ) -> Tuple[Tensor, Optional[AttentionSnapshot]]:
-    """Logits restricted to the task's classes, plus the middle-layer
-    attention snapshot when requested.
-
-    Node contexts give per-node logits [N x |classes|]; pooled graph
-    contexts give per-graph logits [G x |classes|] via mean pooling.
-    """
-    emb, snapshot = model.forward_embeddings(ctx, want_attention)
-    full = head_logits(model, ctx, emb)
-    logits = take_cols(full, class_columns(model, task.classes))
-    return logits, snapshot

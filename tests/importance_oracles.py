@@ -15,43 +15,51 @@ from gnncl.continual.importance import (
     ArraySet,
     ImportanceRecord,
     _abs_grads,
+    combine_importance,
     snapshot_topo,
-    task_loss_from_logits,
-    train_rows,
 )
 from gnncl.engine import (Tape, Tensor, add, backward, mul, square, sub,
                           sum_)
-from gnncl.nn import ForwardContext, GnnModel, ModelError, model_forward
+from gnncl.nn import GnnModel, ModelError
 
 
-def compute_loss_importance(model: GnnModel, ctx: ForwardContext, task,
-                            local_labels: Optional[np.ndarray]) -> ArraySet:
-    """|gradient| of the full-batch training loss, per parameter."""
+def compute_loss_importance(model: GnnModel, view, k: int) -> ArraySet:
+    """|gradient| of task k's full-batch training loss, per parameter."""
     params = model.parameters()
     with Tape():
-        logits, _ = model_forward(model, ctx, task)
-        loss = task_loss_from_logits(logits, ctx, local_labels,
-                                     train_rows(ctx, task))
+        loss, _ = view.train_loss(model, k)
         grads = backward(loss, params)
     return _abs_grads(model, grads)
 
 
-def topo_scalar(model: GnnModel, ctx: ForwardContext, task) -> Tensor:
-    """The topology scalar of :func:`snapshot_topo` on a fresh forward."""
-    _, snapshot = model_forward(model, ctx, task, want_attention=True)
-    return snapshot_topo(snapshot, ctx, task)
+def topo_scalar(model: GnnModel, view, k: int) -> Tensor:
+    """The topology scalar of :func:`snapshot_topo` on a fresh forward
+    of task k's training split."""
+    _, ctx, rows = view.train_item(k)
+    _, snapshot = view.forward(model, ctx, want_attention=True)
+    return snapshot_topo(snapshot, rows)
 
 
-def compute_topo_importance(model: GnnModel, ctx: ForwardContext,
-                            task) -> ArraySet:
+def compute_topo_importance(model: GnnModel, view, k: int) -> ArraySet:
     """|gradient| of the topology scalar; parameters downstream of the
     middle layer are on the tape but off its dependency path, so their
     entries come out exactly zero."""
     params = model.parameters()
     with Tape():
-        t = topo_scalar(model, ctx, task)
+        t = topo_scalar(model, view, k)
         grads = backward(t, params)
     return _abs_grads(model, grads)
+
+
+def anchor_record(model: GnnModel, i_loss: ArraySet, i_ts: ArraySet,
+                  lambda_l: float, lambda_t: float,
+                  task_index: int) -> ImportanceRecord:
+    """A record of the combined importance with a copy of the current
+    parameters as its snapshot."""
+    snapshot = {name: p.data.copy() for name, p in model.named_parameters()}
+    return ImportanceRecord(task_index=task_index, snapshot=snapshot,
+                            importance=combine_importance(
+                                model, i_loss, i_ts, lambda_l, lambda_t))
 
 
 def twp_penalty_per_parameter(model: GnnModel,

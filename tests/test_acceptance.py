@@ -15,7 +15,6 @@ import pytest
 from gnncl.continual.gem import gem_project
 from gnncl.continual.importance import (
     capacity_regularizer,
-    combine_importance,
     snapshot_topo,
     twp_penalty,
 )
@@ -33,6 +32,7 @@ from gnncl.nn.model import ModelConfig
 
 from conftest import central_diff
 from importance_oracles import (
+    anchor_record,
     compute_loss_importance,
     compute_topo_importance,
     topo_scalar,
@@ -120,9 +120,7 @@ def test_criterion_1_gradient_correctness(capsys):
     worst_first, worst_second = 0.0, 0.0
     for backbone in BACKBONES:
         seq, view, model = _toy_model(backbone)
-        task = seq.tasks[0]
-        ctx = view.train_ctx(0)
-        labels = view.local_labels[0]
+        rows = view.train_item(0)[2]
 
         err = _grad_vs_fd(
             model,
@@ -132,15 +130,15 @@ def test_criterion_1_gradient_correctness(capsys):
 
         err = _grad_vs_fd(
             model,
-            lambda: topo_scalar(model, ctx, task),
-            lambda: topo_scalar(model, ctx, task).item())
+            lambda: topo_scalar(model, view, 0),
+            lambda: topo_scalar(model, view, 0).item())
         worst_first = max(worst_first, err)
 
         # full objective: new-task loss + anchored quadratic penalty
         # + capacity term, the double-backward path
-        i_loss = compute_loss_importance(model, ctx, task, labels)
-        i_ts = compute_topo_importance(model, ctx, task)
-        rec = combine_importance(model, i_loss, i_ts, 10.0, 5.0, 0)
+        i_loss = compute_loss_importance(model, view, 0)
+        i_ts = compute_topo_importance(model, view, 0)
+        rec = anchor_record(model, i_loss, i_ts, 10.0, 5.0, 0)
         for _, p in model.named_parameters():  # move off the anchor
             p.data += 0.01
         lam_l, lam_t, beta = 10.0, 5.0, 0.01
@@ -149,7 +147,7 @@ def test_criterion_1_gradient_correctness(capsys):
             loss, snap = view.train_loss(model, 0, want_attention=True)
             total = add(loss, twp_penalty(model, [rec]))
             return add(total, capacity_regularizer(
-                model, loss, snapshot_topo(snap, ctx, task), lam_l, lam_t,
+                model, loss, snapshot_topo(snap, rows), lam_l, lam_t,
                 beta))
 
         def full_value():
@@ -171,13 +169,11 @@ def test_criterion_1_gradient_correctness(capsys):
 def test_criterion_2_penalty_identities(capsys):
     t0 = time.time()
     seq, view, model = _toy_model("gcn")
-    task, ctx = seq.tasks[0], view.train_ctx(0)
-    labels = view.local_labels[0]
 
     # zero at the anchor
-    i_loss = compute_loss_importance(model, ctx, task, labels)
-    i_ts = compute_topo_importance(model, ctx, task)
-    rec = combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)
+    i_loss = compute_loss_importance(model, view, 0)
+    i_ts = compute_topo_importance(model, view, 0)
+    rec = anchor_record(model, i_loss, i_ts, 1.0, 1.0, 0)
     at_anchor = twp_penalty(model, [rec]).item()
 
     # two-parameter hand value: importances (1, 2), drifts (0.1, -0.2)
@@ -190,7 +186,7 @@ def test_criterion_2_penalty_identities(capsys):
     named = dict(mini.named_parameters())
     w, b = named["layers.0.W"], named["layers.0.b"]
     assert w.size == 1 and b.size == 1
-    rec2 = combine_importance(
+    rec2 = anchor_record(
         mini, {"layers.0.W": np.full(w.shape, 1.0),
                "layers.0.b": np.full(b.shape, 2.0),
                "head.W": np.zeros(named["head.W"].shape),
@@ -207,7 +203,7 @@ def test_criterion_2_penalty_identities(capsys):
     upstream_positive = True
     for backbone in BACKBONES:
         s2, v2, m2 = _toy_model(backbone, seed=2)
-        imp = compute_topo_importance(m2, v2.train_ctx(0), s2.tasks[0])
+        imp = compute_topo_importance(m2, v2, 0)
         mid = m2.middle_layer_index
         for name, arr in imp.items():
             if name.startswith("head.") or any(

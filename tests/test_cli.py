@@ -136,6 +136,18 @@ def test_sweep_cell_failures_go_to_stderr(tmp_path, capsys):
     assert "failed bad seed 0" in captured.err
 
 
+def test_sweep_refuses_a_repeated_seed(tmp_path, capsys):
+    # "0,0" used to report one seed run twice as two seeds, std 0
+    cfg = write_json(tmp_path / "sweep.json", {"base": TOY_RUN})
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", cfg, "--seeds", "0,0",
+                 "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ConfigError"
+    assert "repeat" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_sweep_bad_seeds_argument(tmp_path, capsys):
     cfg = write_json(tmp_path / "sweep.json", {"base": TOY_RUN})
     assert main(["sweep", "--config", cfg, "--seeds", "a,b"]) == 1
@@ -165,6 +177,27 @@ def test_report_marks_failed_runs(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path / "runs")]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[1] == "broken,,,failed"
+
+
+@pytest.mark.parametrize("dataset, error", [
+    ({"kind": "path", "path": "no-such-dataset"}, "DatasetError"),
+    ({"kind": "sbm", "noise_sigma": -0.5}, "GraphError"),
+], ids=["missing-path", "bad-generator-range"])
+def test_report_lists_runs_that_fail_before_training(tmp_path, capsys,
+                                                     dataset, error):
+    # such a run used to leave only config.resolved.json, so report
+    # printed its header alone
+    cfg = write_json(tmp_path / "cfg.json", dict(TOY_RUN, dataset=dataset))
+    run = tmp_path / "runs" / "early"
+    assert main(["run", "--config", cfg, "--out-dir", str(run)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+    m = json.loads((run / "metrics.json").read_text())
+    assert m["failed"] is True and m["error"].startswith(error)
+    assert m["completed_rows"] == 0
+    assert not (run / "R.csv").exists()  # no task exists yet
+    assert main(["report", "--dir", str(tmp_path / "runs")]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == ["run,ap,af,status", "early,,,failed"]
 
 
 def test_report_missing_dir(tmp_path, capsys):

@@ -603,7 +603,8 @@ def test_load_rejects_label_out_of_range(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
-@pytest.mark.parametrize("edges", [[[0, 1, 2]], [0, 1], [[0.5, 1]]])
+@pytest.mark.parametrize("edges", [[[0, 1, 2]], [0, 1], [[0.5, 1]],
+                                   [[True, 3]], [[0, False]]])
 def test_load_rejects_malformed_edges(tmp_path, edges):
     seq = generate_sbm_tasks(2, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
     save_dataset(seq, tmp_path / "ds")

@@ -60,6 +60,23 @@ class TestRunConfig:
                              "train_fraction": 0.6}
         assert run_config_from_dict(graphs).metric == "auc"
 
+    @pytest.mark.parametrize("model, match", [
+        ({"activation": "nope"}, "unknown activation 'nope'"),
+        ({"backbone": "gat", "hidden_dim": 16, "heads": [3, 1]},
+         "hidden_dim 16"),
+    ], ids=["activation", "gat-heads"])
+    def test_model_refused_at_config_time(self, model, match):
+        # each used to fail only when run_sequence built the model
+        with pytest.raises(ConfigError, match=match):
+            run_config_from_dict(toy_cfg(model=model))
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "sbm"}, {"kind": "path", "path": "no-such-dataset"}])
+    def test_auc_on_node_datasets_refused_at_config_time(self, dataset):
+        # used to fail only after the dataset was built
+        with pytest.raises(ConfigError, match="AUC"):
+            run_config_from_dict({"dataset": dataset, "metric": "auc"})
+
     def test_seed_must_be_nonnegative_int(self):
         for bad in (-1, True, 1.5, "7"):
             with pytest.raises(ConfigError):
@@ -380,18 +397,13 @@ class TestResolveSweep:
 
 
 class TestSweep:
-    def test_repeated_seed_zero_std(self, tmp_path):
-        cells = sweep_and_report(toy_cfg(), [("base", {})], [5, 5],
-                                 out_dir=str(tmp_path))
-        assert len(cells) == 2
-        agg = (tmp_path / "aggregate.csv").read_text().strip().split("\n")
-        assert agg[0] == "name,seeds,ap_mean,ap_std,af_mean,af_std,failures"
-        row = agg[1].split(",")
-        assert row[0] == "base"
-        assert row[1] == "2"
-        assert float(row[3]) == 0.0  # identical seeds, zero spread
-        assert float(row[5]) == 0.0
-        assert row[6] == "0"
+    def test_repeated_seed_rejected(self, tmp_path):
+        # a repeated seed used to run twice into one seed_5/ directory
+        # and report its two identical runs as two seeds with zero spread
+        with pytest.raises(ConfigError, match="repeat"):
+            sweep_and_report(toy_cfg(), [("base", {})], [5, 5],
+                             out_dir=str(tmp_path))
+        assert not any(tmp_path.iterdir())
 
     def test_per_cell_directories_and_reports(self, tmp_path):
         sweep_and_report(

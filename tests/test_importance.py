@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 from gnncl.engine import Tape, Tensor, backward
-from gnncl.graphs import TaskSpec, graph_from_edges
-from gnncl.nn import ForwardContext, GnnModel, ModelConfig, ModelError
+from gnncl.graphs import (TaskSequence, TaskSpec, TaskType,
+                          generate_graph_classification_tasks,
+                          graph_from_edges)
+from gnncl.nn import GnnModel, ModelConfig, ModelError
 from gnncl.continual import (
     ImportanceRecord,
+    TaskView,
     capacity_regularizer,
-    combine_importance,
     compute_importance,
     load_records,
     save_records,
     snapshot_topo,
-    task_loss_from_logits,
     twp_penalty,
 )
-from gnncl.nn import model_forward
 from conftest import central_diff, max_rel_err
 from importance_oracles import (
+    anchor_record,
     compute_loss_importance,
     compute_topo_importance,
     topo_scalar,
@@ -35,35 +36,31 @@ def node_setup(backbone="gat", seed=0, n=8, d=3, **model_fields):
     feats = rng.normal(size=(n, d))
     labels = rng.integers(0, 2, size=n)
     g = graph_from_edges(n, np.stack([src, dst], 1), feats, labels)
-    ctx = ForwardContext.for_graph(g)
     task = TaskSpec(task_index=0, classes=(0, 1),
                     train=np.arange(n // 2), test=np.arange(n // 2, n))
+    view = TaskView(TaskSequence(TaskType.NODE, [task], graph=g))
     heads = (2, 1) if backbone == "gat" else (1, 1)
     model = GnnModel(ModelConfig(backbone=backbone, hidden_dim=4,
                                  heads=heads, **model_fields), d, 2,
                      np.random.default_rng(seed + 50))
-    local = labels.astype(np.int64)
-    return model, ctx, task, local
+    return model, view
 
 
-def capacity(model, ctx, task, local, lambda_l, lambda_t, beta):
-    """The capacity term on one fresh forward of ``task``."""
-    logits, snap = model_forward(model, ctx, task, want_attention=True)
-    loss = task_loss_from_logits(logits, ctx, local,
-                                 ctx.row_plan(task.train))
-    return capacity_regularizer(model, loss, snapshot_topo(snap, ctx, task),
-                                lambda_l, lambda_t, beta)
+def capacity(model, view, lambda_l, lambda_t, beta):
+    """The capacity term on one fresh forward of task 0."""
+    loss, snap = view.train_loss(model, 0, want_attention=True)
+    return capacity_regularizer(
+        model, loss, snapshot_topo(snap, view.train_item(0)[2]),
+        lambda_l, lambda_t, beta)
 
 
 def test_loss_importance_matches_finite_differences():
-    model, ctx, task, local = node_setup("gcn")
-    imp = compute_loss_importance(model, ctx, task, local)
+    model, view = node_setup("gcn")
+    imp = compute_loss_importance(model, view, 0)
 
     def loss_value():
         with Tape():
-            logits, _ = model_forward(model, ctx, task)
-            return task_loss_from_logits(logits, ctx, local,
-                                         ctx.row_plan(task.train)).item()
+            return view.train_loss(model, 0)[0].item()
 
     for name, p in model.named_parameters():
         numeric = np.abs(central_diff(loss_value, [p.data])[0])
@@ -71,12 +68,12 @@ def test_loss_importance_matches_finite_differences():
 
 
 def test_topo_importance_matches_finite_differences():
-    model, ctx, task, _ = node_setup("gat")
-    imp = compute_topo_importance(model, ctx, task)
+    model, view = node_setup("gat")
+    imp = compute_topo_importance(model, view, 0)
 
     def t_value():
         with Tape():
-            return topo_scalar(model, ctx, task).item()
+            return topo_scalar(model, view, 0).item()
 
     name0 = "layers.0.W"
     p0 = dict(model.named_parameters())[name0]
@@ -86,8 +83,8 @@ def test_topo_importance_matches_finite_differences():
 
 @pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
 def test_topo_importance_zero_downstream(backbone):
-    model, ctx, task, _ = node_setup(backbone)
-    imp = compute_topo_importance(model, ctx, task)
+    model, view = node_setup(backbone)
+    imp = compute_topo_importance(model, view, 0)
     mid = model.middle_layer_index
     upstream_total = 0.0
     for name, arr in imp.items():
@@ -103,29 +100,51 @@ def test_topo_importance_zero_downstream(backbone):
 @pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
 def test_shared_forward_importance_matches_separate_passes(backbone):
     # one forward with attention, two sweeps over its tape
-    model, ctx, task, local = node_setup(backbone, seed=6)
-    i_loss, i_ts = compute_importance(model, ctx, task, local)
-    want_loss = compute_loss_importance(model, ctx, task, local)
-    want_ts = compute_topo_importance(model, ctx, task)
+    model, view = node_setup(backbone, seed=6)
+    i_loss, i_ts = compute_importance(model, view, 0)
+    want_loss = compute_loss_importance(model, view, 0)
+    want_ts = compute_topo_importance(model, view, 0)
     for name, _ in model.named_parameters():
         assert np.array_equal(i_loss[name], want_loss[name]), name
         assert np.array_equal(i_ts[name], want_ts[name]), name
 
 
+@pytest.mark.parametrize("backbone", ["gcn", "gat", "gin"])
+def test_shared_forward_importance_matches_separate_passes_on_graph_tasks(
+        backbone):
+    # pooled contexts: the sigmoid loss of each training graph, and the
+    # topology scalar over every edge of the pooled graphs
+    seq = generate_graph_classification_tasks(2, 8, (5, 8), seed=6)
+    view = TaskView(seq)
+    heads = (2, 1) if backbone == "gat" else (1, 1)
+    model = GnnModel(ModelConfig(backbone=backbone, hidden_dim=4,
+                                 heads=heads), seq.feature_dim, 2,
+                     np.random.default_rng(56))
+    for k in range(2):
+        i_loss, i_ts = compute_importance(model, view, k)
+        want_loss = compute_loss_importance(model, view, k)
+        want_ts = compute_topo_importance(model, view, k)
+        for name, _ in model.named_parameters():
+            assert np.array_equal(i_loss[name], want_loss[name]), name
+            assert np.array_equal(i_ts[name], want_ts[name]), name
+        assert any(a.any() for a in i_loss.values())
+        assert any(a.any() for a in i_ts.values())
+
+
 def test_importance_non_negative():
     for backbone in ("gcn", "gat", "gin"):
-        model, ctx, task, local = node_setup(backbone, seed=3)
-        for imp in (compute_loss_importance(model, ctx, task, local),
-                    compute_topo_importance(model, ctx, task)):
+        model, view = node_setup(backbone, seed=3)
+        for imp in (compute_loss_importance(model, view, 0),
+                    compute_topo_importance(model, view, 0)):
             for arr in imp.values():
                 assert np.all(arr >= 0)
 
 
 def test_combine_importance_weights():
-    model, ctx, task, local = node_setup("gcn", seed=1)
-    i_loss = compute_loss_importance(model, ctx, task, local)
-    i_ts = compute_topo_importance(model, ctx, task)
-    rec = combine_importance(model, i_loss, i_ts, 3.0, 5.0, task_index=2)
+    model, view = node_setup("gcn", seed=1)
+    i_loss = compute_loss_importance(model, view, 0)
+    i_ts = compute_topo_importance(model, view, 0)
+    rec = anchor_record(model, i_loss, i_ts, 3.0, 5.0, task_index=2)
     assert rec.task_index == 2
     for name, _ in model.named_parameters():
         want = 3.0 * i_loss[name] + 5.0 * i_ts[name]
@@ -136,10 +155,10 @@ def test_combine_importance_weights():
 
 
 def test_penalty_zero_at_anchor():
-    model, ctx, task, local = node_setup("gcn", seed=2)
-    i_loss = compute_loss_importance(model, ctx, task, local)
-    i_ts = compute_topo_importance(model, ctx, task)
-    rec = combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)
+    model, view = node_setup("gcn", seed=2)
+    i_loss = compute_loss_importance(model, view, 0)
+    i_ts = compute_topo_importance(model, view, 0)
+    rec = anchor_record(model, i_loss, i_ts, 1.0, 1.0, 0)
     with Tape():
         assert twp_penalty(model, [rec]).item() == 0.0
 
@@ -163,12 +182,12 @@ def test_penalty_two_parameter_oracle():
 
 
 def test_penalty_accumulates_over_records():
-    model, ctx, task, local = node_setup("gcn", seed=4)
+    model, view = node_setup("gcn", seed=4)
     recs = []
     for k in range(2):
-        i_loss = compute_loss_importance(model, ctx, task, local)
-        i_ts = compute_topo_importance(model, ctx, task)
-        recs.append(combine_importance(model, i_loss, i_ts, 1.0, 1.0, k))
+        i_loss = compute_loss_importance(model, view, 0)
+        i_ts = compute_topo_importance(model, view, 0)
+        recs.append(anchor_record(model, i_loss, i_ts, 1.0, 1.0, k))
     for p in model.parameters():
         p.data += 0.05
     with Tape():
@@ -181,11 +200,11 @@ def test_penalty_accumulates_over_records():
 
 def drifted_records(backbone, count, **model_fields):
     """A model and ``count`` records, the parameters moved after each."""
-    model, ctx, task, local = node_setup(backbone, seed=4, **model_fields)
+    model, view = node_setup(backbone, seed=4, **model_fields)
     recs = []
     for k in range(count):
-        i_loss, i_ts = compute_importance(model, ctx, task, local)
-        recs.append(combine_importance(model, i_loss, i_ts, 3.0, 0.5, k))
+        i_loss, i_ts = compute_importance(model, view, 0)
+        recs.append(anchor_record(model, i_loss, i_ts, 3.0, 0.5, k))
         for p in model.parameters():
             p.data += 0.05 * (k + 1)
     return model, recs
@@ -259,22 +278,22 @@ def test_mismatched_record_sets_rejected():
 
 
 def test_capacity_zero_when_beta_zero():
-    model, ctx, task, local = node_setup("gcn", seed=5)
+    model, view = node_setup("gcn", seed=5)
     with Tape():
-        cap = capacity(model, ctx, task, local, 1.0, 1.0, 0.0)
+        cap = capacity(model, view, 1.0, 1.0, 0.0)
         assert cap.item() == 0.0
 
 
 def test_capacity_gradient_matches_finite_differences():
-    model, ctx, task, local = node_setup("gcn", seed=6)
+    model, view = node_setup("gcn", seed=6)
     params = model.parameters()
     with Tape():
-        cap = capacity(model, ctx, task, local, 1.0, 0.5, 0.1)
+        cap = capacity(model, view, 1.0, 0.5, 0.1)
         grads = backward(cap, params)
 
     def cap_value():
         with Tape():
-            return capacity(model, ctx, task, local, 1.0, 0.5, 0.1).item()
+            return capacity(model, view, 1.0, 0.5, 0.1).item()
 
     worst = 0.0
     for name, p in model.named_parameters():
@@ -284,20 +303,20 @@ def test_capacity_gradient_matches_finite_differences():
 
 
 def test_capacity_scales_linearly_in_beta():
-    model, ctx, task, local = node_setup("gat", seed=7)
+    model, view = node_setup("gat", seed=7)
     with Tape():
-        a = capacity(model, ctx, task, local, 2.0, 3.0, 0.1)
-        b = capacity(model, ctx, task, local, 2.0, 3.0, 0.2)
+        a = capacity(model, view, 2.0, 3.0, 0.1)
+        b = capacity(model, view, 2.0, 3.0, 0.2)
     assert b.item() == pytest.approx(2 * a.item(), rel=1e-12)
 
 
 def test_records_file_roundtrip(tmp_path):
-    model, ctx, task, local = node_setup("gat", seed=8)
+    model, view = node_setup("gat", seed=8)
     recs = []
     for k in range(2):
-        i_loss = compute_loss_importance(model, ctx, task, local)
-        i_ts = compute_topo_importance(model, ctx, task)
-        recs.append(combine_importance(model, i_loss, i_ts, 10.0, 2.0, k))
+        i_loss = compute_loss_importance(model, view, 0)
+        i_ts = compute_topo_importance(model, view, 0)
+        recs.append(anchor_record(model, i_loss, i_ts, 10.0, 2.0, k))
         for p in model.parameters():
             p.data *= 0.9
     save_records(recs, tmp_path / "recs")
@@ -314,9 +333,9 @@ def test_records_file_roundtrip(tmp_path):
 def test_old_records_format_rejected(tmp_path):
     import json
 
-    model, ctx, task, local = node_setup("gat", seed=9)
-    i_loss, i_ts = compute_importance(model, ctx, task, local)
-    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+    model, view = node_setup("gat", seed=9)
+    i_loss, i_ts = compute_importance(model, view, 0)
+    save_records([anchor_record(model, i_loss, i_ts, 1.0, 1.0, 0)],
                  tmp_path / "recs")
     path = tmp_path / "recs" / "records.json"
     manifest = json.loads(path.read_text())
@@ -332,9 +351,9 @@ def test_old_records_format_rejected(tmp_path):
 def test_truncated_or_unindexed_records_rejected(tmp_path):
     import json
 
-    model, ctx, task, local = node_setup("gcn", seed=10)
-    i_loss, i_ts = compute_importance(model, ctx, task, local)
-    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+    model, view = node_setup("gcn", seed=10)
+    i_loss, i_ts = compute_importance(model, view, 0)
+    save_records([anchor_record(model, i_loss, i_ts, 1.0, 1.0, 0)],
                  tmp_path / "recs")
     blob = tmp_path / "recs" / "records.bin"
     whole = blob.read_bytes()
@@ -357,9 +376,9 @@ def test_truncated_or_unindexed_records_rejected(tmp_path):
 def test_malformed_records_index_rejected(tmp_path, field, value):
     import json
 
-    model, ctx, task, local = node_setup("gcn", seed=11)
-    i_loss, i_ts = compute_importance(model, ctx, task, local)
-    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+    model, view = node_setup("gcn", seed=11)
+    i_loss, i_ts = compute_importance(model, view, 0)
+    save_records([anchor_record(model, i_loss, i_ts, 1.0, 1.0, 0)],
                  tmp_path / "recs")
     path = tmp_path / "recs" / "records.json"
     manifest = json.loads(path.read_text())
@@ -399,9 +418,9 @@ def test_malformed_records_manifest_rejected(tmp_path, text, edit):
     # FileNotFoundError, or to load a string task index
     import json
 
-    model, ctx, task, local = node_setup("gcn", seed=12)
-    i_loss, i_ts = compute_importance(model, ctx, task, local)
-    save_records([combine_importance(model, i_loss, i_ts, 1.0, 1.0, 0)],
+    model, view = node_setup("gcn", seed=12)
+    i_loss, i_ts = compute_importance(model, view, 0)
+    save_records([anchor_record(model, i_loss, i_ts, 1.0, 1.0, 0)],
                  tmp_path / "recs")
     path = tmp_path / "recs" / "records.json"
     if text == "":

@@ -22,7 +22,9 @@ from gnncl.engine import (
     take_cols,
     tanh,
 )
-from gnncl.graphs import graph_from_edges, normalize_adjacency
+from gnncl.continual import TaskView
+from gnncl.graphs import (Graph, TaskSequence, TaskSpec, TaskType,
+                          graph_from_edges, normalize_adjacency)
 from gnncl.nn import (
     ForwardContext,
     GnnModel,
@@ -31,7 +33,6 @@ from gnncl.nn import (
     class_columns,
     head_logits,
     load_checkpoint,
-    model_forward,
     save_checkpoint,
 )
 from gnncl.nn.layers import GatLayer, GcnLayer, GinLayer
@@ -151,14 +152,17 @@ def test_permutation_equivariance(backbone, rng):
 
 def test_head_masking_selects_columns(rng):
     g = small_graph(rng)
+    # labels inside the task's classes, as a task sequence requires
+    g = Graph(g.num_nodes, g.row_ptr, g.col_idx, g.features,
+              np.where(g.labels == 1, 5, 2))
     ctx = ForwardContext.for_graph(g)
     model = GnnModel(ModelConfig(backbone="gcn", hidden_dim=4), 3, 6,
                      np.random.default_rng(6))
-    from gnncl.graphs import TaskSpec
     task = TaskSpec(task_index=0, classes=(2, 5),
                     train=np.arange(7), test=np.arange(0))
+    view = TaskView(TaskSequence(TaskType.NODE, [task], graph=g))
     with Tape():
-        masked, _ = model_forward(model, ctx, task)
+        masked = view.task_logits(model, view.forward(model, ctx)[0], 0)
         emb, _ = model.forward_embeddings(ctx)
         full = head_logits(model, ctx, emb)
     assert masked.shape == (7, 2)

@@ -7,7 +7,6 @@ from gnncl.continual import (
     capacity_regularizer,
     gem_project,
     snapshot_topo,
-    task_loss_from_logits,
     twp_penalty,
 )
 from gnncl.continual.strategies import (
@@ -24,7 +23,7 @@ from gnncl.harness.runner import (
     run_config_from_dict,
     run_sequence,
 )
-from gnncl.nn.model import GnnModel, ModelConfig, model_forward
+from gnncl.nn.model import GnnModel, ModelConfig
 from conftest import central_diff, max_rel_err
 
 
@@ -109,8 +108,7 @@ class TestAnchorPath:
             want = loss
             if kind == "TWP":
                 want = add(loss, capacity_regularizer(
-                    model, loss, snapshot_topo(snap, view.train_ctx(0),
-                                               seq.tasks[0]),
+                    model, loss, snapshot_topo(snap, view.train_item(0)[2]),
                     strat.cfg.lambda_l, strat.cfg.lambda_t, beta))
             want_nodes = len(tape)
         assert got.item() == want.item()
@@ -260,11 +258,10 @@ class TestOneForwardPerContext:
         for m in strat.memory:
             ctx, rows = view.split(m.indices)
             with Tape():
-                logits, _ = model_forward(model, ctx,
-                                          seq.tasks[m.task_index])
-                want_mem.append(flat(backward(task_loss_from_logits(
-                    logits, ctx, view.labels(m.task_index), rows),
-                    params)))
+                full, _ = view.forward(model, ctx)
+                want_mem.append(flat(backward(view.loss(
+                    view.task_logits(model, full, m.task_index),
+                    m.task_index, ctx, rows), params)))
         want_mem = np.stack(want_mem)
         with Tape():
             g = flat(backward(view.train_loss(model, 2)[0], params))
@@ -428,7 +425,7 @@ class TestTwpCapacityModes:
         # the capacity term differentiates through the graph-level BCE
         seq = build_dataset(GRAPHS_DS, 0)
         view = TaskView(seq)
-        ctx, task = view.train_ctx(0), seq.tasks[0]
+        rows = view.train_item(0)[2]
         for backbone in ("gcn", "gin"):
             model = build_model(
                 seq, ModelConfig(backbone=backbone, hidden_dim=8), 0)
@@ -437,7 +434,7 @@ class TestTwpCapacityModes:
             def cap_live():
                 loss, snap = view.train_loss(model, 0, want_attention=True)
                 return capacity_regularizer(
-                    model, loss, snapshot_topo(snap, ctx, task),
+                    model, loss, snapshot_topo(snap, rows),
                     1.0, 0.5, 0.1)
 
             with Tape():
@@ -487,18 +484,17 @@ class TestTwpCapacityModes:
         strat.train_task(0)
         for p in model.parameters():  # move off the anchor
             p.data += 0.01
-        ctx, task = view.train_ctx(1), seq.tasks[1]
+        _, ctx, rows = view.train_item(1)
         with Tape():
             got = strat.objective(1).item()
         with Tape():
             loss, _ = view.train_loss(model, 1)
             pen = twp_penalty(model, strat.records)
-            logits, snap = model_forward(model, ctx, task,
-                                         want_attention=True)
+            full, snap = view.forward(model, ctx, want_attention=True)
             cap = capacity_regularizer(
-                model, task_loss_from_logits(logits, ctx, view.labels(1),
-                                             ctx.row_plan(task.train)),
-                snapshot_topo(snap, ctx, task), cfg.lambda_l, cfg.lambda_t,
+                model, view.loss(view.task_logits(model, full, 1), 1, ctx,
+                                 rows),
+                snapshot_topo(snap, rows), cfg.lambda_l, cfg.lambda_t,
                 cfg.beta)
             want = add(add(loss, pen), cap).item()
         assert pen.item() > 0 and cap.item() > 0

@@ -10,7 +10,10 @@ print within seconds, so a change to graph construction can be checked
 bit for bit before any training starts.
 
 Then comes one line per run, ``<kind>-<backbone>-<STRATEGY> <r> <curves>``
-(the last one, ``sbm16x-gat-FINETUNE``, on the 3,840-node SBM):
+(``sbm16x-gat-FINETUNE`` runs on the 3,840-node SBM, and the last one,
+``path-gat-FINETUNE``, on the default SBM written by ``save_dataset`` to
+a temporary directory and read back by the loader, so it must equal
+``sbm-gat-FINETUNE``):
 the sha256 of the run's R.csv and the sha256 of its loss curves (every
 task's per-epoch losses as float64 bytes, in task order), or the
 exception type name in place of both when the run fails; the script
@@ -29,15 +32,16 @@ Hashes depend on the BLAS build, so compare outputs made on one machine.
 import argparse
 import hashlib
 import sys
+import tempfile
 
 import numpy as np
 
 from gnncl.continual.strategies import STRATEGY_KINDS
-from gnncl.graphs import normalize_adjacency
+from gnncl.graphs import normalize_adjacency, save_dataset
 from gnncl.harness.runner import (build_dataset, resolve_dataset,
                                   run_config_from_dict, run_sequence)
 
-KINDS = ("sbm", "graphs")  # "path" would need a dataset directory
+KINDS = ("sbm", "graphs")  # "path" runs once, on a saved default SBM
 BACKBONES = ("gcn", "gat", "gin")
 DATASETS = (
     ("sbm", {"kind": "sbm"}),
@@ -83,6 +87,12 @@ def main() -> None:
     # default dataset reaches
     ok &= print_run("sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"], "gat",
                     "FINETUNE", args.epochs, args.seed)
+    # the loader path: a round trip through the dataset directory format
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(build_dataset(resolve_dataset({"kind": "sbm"}),
+                                   args.seed), tmp)
+        ok &= print_run("path-gat-FINETUNE", {"kind": "path", "path": tmp},
+                        "gat", "FINETUNE", args.epochs, args.seed)
     if not ok:
         sys.exit(1)
 

@@ -25,17 +25,13 @@ from ..engine import (
     backward,
     binary_cross_entropy,
     cross_entropy,
-    div,
     flat_concat,
     flat_split,
     gather_rows,
-    log_softmax,
     mul,
-    neg,
     reshape,
     sigmoid,
     sq_l2_norm,
-    sum_,
     take_cols,
 )
 from ..nn import (
@@ -175,32 +171,50 @@ class TaskView:
         return take_cols(full, class_columns(model,
                                              self.seq.tasks[k].classes))
 
-    def loss(self, logits: Tensor, k: int, ctx: ForwardContext,
-             rows: Optional[SegmentPlan]) -> Tensor:
-        """Task k's loss on ``logits``: cross entropy of class-local node
-        labels, or the sigmoid loss of each pooled graph against
-        ``ctx.graph_labels``. ``rows`` restricts it to those rows with
-        one gather; None scores every row."""
+    def examples(self, logits: Tensor, k: int, ctx: ForwardContext,
+                 rows: Optional[SegmentPlan]):
+        """Task k's ``logits`` on ``rows`` (None: every row) and their
+        labels: ``(rows, classes)`` logits and class-local node labels,
+        or one logit per pooled graph and ``ctx.graph_labels``."""
         labels = self.local_labels[k] if self.node else ctx.graph_labels
         if rows is not None:
             logits = gather_rows(logits, rows)
             labels = labels[rows.ids]
-        if self.node:
-            return cross_entropy(logits, labels)
-        return binary_cross_entropy(reshape(logits, (logits.shape[0],)),
-                                    labels)
+        if not self.node:
+            logits = reshape(logits, (logits.shape[0],))
+        return logits, labels
+
+    def loss(self, logits: Tensor, k: int, ctx: ForwardContext,
+             rows: Optional[SegmentPlan], targets=None) -> Tensor:
+        """Cross entropy (node tasks) or sigmoid loss (graph tasks) of
+        :meth:`examples`, against soft ``targets`` when given."""
+        logits, labels = self.examples(logits, k, ctx, rows)
+        fn = cross_entropy if self.node else binary_cross_entropy
+        return fn(logits, labels if targets is None else targets)
+
+    def soft_targets(self, logits: Tensor, k: int, ctx: ForwardContext,
+                     rows: Optional[SegmentPlan], tau: float) -> np.ndarray:
+        """:meth:`loss` targets from a teacher's task k ``logits`` at
+        temperature ``tau``: a row softmax per node, a sigmoid per graph."""
+        scores = self.examples(logits, k, ctx, rows)[0].data / tau
+        if not self.node:
+            return sigmoid(scores).data
+        probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+        return probs / probs.sum(axis=1, keepdims=True)
 
     def losses(self, model: GnnModel, scored: Sequence[Scored],
-               want_attention: bool = False):
-        """The loss of each (task, context, rows) in ``scored``, from one
-        forward per distinct context. Returns the losses, then the head
-        logits and attention snapshot of the first context."""
+               want_attention: bool = False, per_item=None):
+        """``per_item(logits, task, ctx, rows)`` (default :meth:`loss`)
+        of each (task, context, rows) in ``scored``, from one forward per
+        distinct context. Returns the results, then the head logits and
+        attention snapshot of the first context."""
+        per_item = per_item or self.loss
         forwards = {}
         out = []
         for k, ctx, rows in scored:
             if id(ctx) not in forwards:
                 forwards[id(ctx)] = self.forward(model, ctx, want_attention)
-            out.append(self.loss(
+            out.append(per_item(
                 self.task_logits(model, forwards[id(ctx)][0], k), k, ctx,
                 rows))
         return (out,) + forwards[id(scored[0][1])]
@@ -386,36 +400,20 @@ class LwfStrategy(Strategy):
         self._soft_targets = []
         if self.teacher is None:
             return
-        tau = self.cfg.distill_temperature
         _, ctx, rows = self.view.train_item(k)
         full, _ = self.view.forward(self.teacher, ctx)
         for t in range(k):
-            logits = self.view.task_logits(self.teacher, full, t).data
-            if self.view.node:
-                tl = logits[rows.ids] / tau
-                tl -= tl.max(axis=1, keepdims=True)
-                probs = np.exp(tl)
-                probs /= probs.sum(axis=1, keepdims=True)
-            else:
-                probs = sigmoid(logits[:, 0] / tau).data
-            self._soft_targets.append(probs)
+            self._soft_targets.append(self.view.soft_targets(
+                self.view.task_logits(self.teacher, full, t), t, ctx, rows,
+                self.cfg.distill_temperature))
 
     def objective(self, k: int) -> Tensor:
         item = self.view.train_item(k)
         (total,), full, _ = self.view.losses(self.model, [item])
-        rows = item[2]
-        tau = self.cfg.distill_temperature
+        inv_tau = Tensor(1.0 / self.cfg.distill_temperature)
         for t, probs in enumerate(self._soft_targets):
-            s_logits = self.view.task_logits(self.model, full, t)
-            if self.view.node:
-                s = mul(gather_rows(s_logits, rows), Tensor(1.0 / tau))
-                ce = neg(div(sum_(mul(Tensor(probs), log_softmax(s))),
-                             Tensor(float(len(rows)))))
-            else:
-                s = mul(reshape(s_logits, (s_logits.shape[0],)),
-                        Tensor(1.0 / tau))
-                ce = binary_cross_entropy(s, probs)
-            total = add(total, ce)
+            s = mul(self.view.task_logits(self.model, full, t), inv_tau)
+            total = add(total, self.view.loss(s, t, item[1], item[2], probs))
         return total
 
     def after_task(self, k: int) -> None:

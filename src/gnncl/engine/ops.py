@@ -658,8 +658,9 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log likelihood of integer ``labels``, one per row,
-    under ``logits``."""
+    """Mean negative log likelihood under ``logits`` of integer
+    ``labels``, one per row, or of an ``(n, c)`` matrix of target
+    probabilities in [0, 1]."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
@@ -667,14 +668,18 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape
     if n == 0:
         raise EmptyBatchError("cross_entropy over zero rows")
-    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
-        raise ShapeError(f"labels must be {n} integers")
-    if labels.min() < 0 or labels.max() >= c:
-        raise DomainError(f"labels out of range [0, {c})")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
+    if labels.shape == (n,) and np.issubdtype(labels.dtype, np.integer):
+        if labels.min() < 0 or labels.max() >= c:
+            raise DomainError(f"labels out of range [0, {c})")
+        labels = np.eye(c)[labels]
+    elif (labels.shape != (n, c)
+          or not np.issubdtype(labels.dtype, np.floating)):
+        raise ShapeError(f"labels must be {n} integers or ({n}, {c}) "
+                         "probabilities")
+    elif not np.all((labels >= 0.0) & (labels <= 1.0)):
+        raise DomainError("target probabilities must lie in [0, 1]")
     logp = log_softmax(logits)
-    picked = sum_(mul(logp, Tensor(onehot)))
+    picked = sum_(mul(logp, Tensor(labels)))
     return neg(div(picked, Tensor(float(n))))
 
 

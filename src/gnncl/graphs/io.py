@@ -126,6 +126,9 @@ def load_dataset(path: str, train_fraction: float = 0.6) -> TaskSequence:
                 raise DatasetError(
                     f"features.csv line {lineno}: non-numeric value"
                 ) from None
+            if not np.all(np.isfinite(row)):
+                raise DatasetError(
+                    f"features.csv line {lineno}: non-finite value")
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -6,9 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..continual import TaskView
 from ..engine import EmptyBatchError
-from ..nn import GnnModel
 
 # Predictions are single-label and always inside the task's classes,
 # so micro-F1 equals accuracy; "micro_f1" is an alias for it.
@@ -19,7 +17,21 @@ class MetricError(ValueError):
     """Metric undefined for the given predictions or configuration."""
 
 
+def _paired(pred, labels) -> Tuple[np.ndarray, np.ndarray]:
+    """``pred`` and ``labels`` as arrays; MetricError unless ``pred`` is
+    1-D and as long as ``labels``."""
+    pred, labels = np.asarray(pred), np.asarray(labels)
+    if pred.ndim != 1:
+        raise MetricError(
+            f"predictions must be 1-D, got shape {pred.shape}")
+    if labels.shape != pred.shape:
+        raise MetricError(f"{len(pred)} predictions for labels of shape "
+                          f"{labels.shape}")
+    return pred, labels
+
+
 def accuracy(pred: np.ndarray, true: np.ndarray) -> float:
+    pred, true = _paired(pred, true)
     if pred.size == 0:
         raise EmptyBatchError("accuracy over zero examples")
     return float(np.mean(pred == true))
@@ -28,8 +40,9 @@ def accuracy(pred: np.ndarray, true: np.ndarray) -> float:
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based (Mann-Whitney) area under ROC with tie-averaged
     ranks; needs at least one positive and one negative."""
-    labels = np.asarray(labels)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores, labels = _paired(np.asarray(scores, dtype=np.float64), labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise MetricError("AUC labels must be 0 or 1")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -50,25 +63,17 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: GnnModel, view: TaskView, j: int,
-             metric: str) -> float:
-    """Test-set score of task j under the current parameters.
-
-    Opens no tape: inference needs no gradients, so the forward pass
-    builds no VJPs.
-    """
+def evaluate(scores: np.ndarray, labels: np.ndarray, metric: str) -> float:
+    """One cell of R: ``metric`` of a task's test ``scores`` against
+    ``labels``. Scores are one row of class logits per node (the argmax
+    predicts) or one logit per graph (AUC ranks it, accuracy thresholds
+    it at 0)."""
     if metric not in METRICS:
         raise MetricError(f"unknown metric '{metric}'")
-    ctx, rows = view.split(view.seq.tasks[j].test)
-    full, _ = view.forward(model, ctx)
-    out = view.task_logits(model, full, j).data
-    if view.node:
+    if scores.ndim == 2:
         if metric == "auc":
             raise MetricError("AUC applies to binary graph tasks only")
-        pred = np.argmax(out[rows.ids], axis=1)
-        return accuracy(pred, view.local_labels[j][rows.ids])
-    labels = ctx.graph_labels.astype(np.int64)
-    scores = out[:, 0]
+        return accuracy(np.argmax(scores, axis=1), labels)
     if metric == "auc":
         return auc_score(scores, labels)
     return accuracy((scores > 0).astype(np.int64), labels)

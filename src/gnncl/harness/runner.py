@@ -286,10 +286,14 @@ def run_sequence(cfg: RunConfig) -> RunResult:
         strategy = make_strategy(cfg.strategy, model, view, cfg.seed)
         num_tasks = len(seq.tasks)
         r = RMatrix(num_tasks)
+        tests = [(j,) + view.split(t.test) for j, t in enumerate(seq.tasks)]
         for k in range(num_tasks):
             loss_curves.append(strategy.train_task(k))
-            for j in range(k + 1):
-                r.set(k, j, evaluate(model, view, j, cfg.metric))
+            # one forward per distinct test context scores the row
+            cells, _, _ = view.losses(model, tests[:k + 1],
+                                      per_item=view.examples)
+            for j, (scores, labels) in enumerate(cells):
+                r.set(k, j, evaluate(scores.data, labels, cfg.metric))
     except Exception as exc:
         if out is not None:
             if r is not None:

@@ -592,6 +592,19 @@ def test_load_rejects_ragged_features(tmp_path):
     assert "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_features(tmp_path, value):
+    # float() parses these, and a nan feature makes every loss nan
+    seq = generate_sbm_tasks(2, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
+    save_dataset(seq, tmp_path / "ds")
+    f = tmp_path / "ds" / "features.csv"
+    lines = f.read_text().splitlines()
+    lines[2] = value + lines[2][lines[2].index(","):]
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match="features.csv line 3"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_load_rejects_label_out_of_range(tmp_path):
     seq = generate_sbm_tasks(2, 2, 6, 0.4, 0.1, 4, 0.1, seed=2)
     save_dataset(seq, tmp_path / "ds")

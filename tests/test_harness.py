@@ -10,20 +10,25 @@ from gnncl.continual.strategies import (
     STRATEGY_KINDS,
     ConfigError,
     StrategyConfig,
+    TaskView,
     TwpStrategy,
+    make_strategy,
 )
 from gnncl.engine import EmptyBatchError
 from gnncl.graphs import GraphError
+from gnncl.harness.metrics import evaluate
 from gnncl.harness.runner import (
     SBM_DEFAULTS,
     _deep_merge,
+    build_dataset,
+    build_model,
     resolve_sweep,
     resolved_dict,
     run_config_from_dict,
     run_sequence,
     sweep_and_report,
 )
-from gnncl.nn import ModelConfig, ModelError
+from gnncl.nn import GnnModel, ModelConfig, ModelError
 
 TOY = {
     "dataset": {"kind": "sbm", "num_classes": 4, "classes_per_task": 2,
@@ -310,6 +315,46 @@ class TestRunSequence:
     def test_auc_on_node_tasks_rejected(self):
         with pytest.raises(ConfigError):
             run_sequence(run_config_from_dict(toy_cfg(metric="auc")))
+
+    def test_a_row_of_r_costs_one_forward_on_node_tasks(self, monkeypatch):
+        calls = []
+        forward = GnnModel.forward_embeddings
+
+        def counted(model, *args, **kwargs):
+            calls.append(args)
+            return forward(model, *args, **kwargs)
+
+        monkeypatch.setattr(GnnModel, "forward_embeddings", counted)
+        raw = toy_cfg()
+        raw["dataset"]["num_classes"] = 6
+        raw["strategy"]["epochs"] = 1
+        run_sequence(run_config_from_dict(raw))
+        # one training epoch per task, then one forward per row of R:
+        # every test split of a node task lies on the one graph
+        assert len(calls) == 3 + 3
+
+    @pytest.mark.parametrize("dataset", [
+        dict(TOY["dataset"], num_classes=6),
+        {"kind": "graphs", "num_tasks": 3, "graphs_per_task": 12,
+         "nodes_min": 5, "nodes_max": 8, "feature_dim": 4}],
+        ids=["sbm", "graphs"])
+    def test_r_equals_one_forward_per_cell(self, dataset):
+        raw = toy_cfg()
+        raw["dataset"] = dataset
+        cfg = run_config_from_dict(raw)
+        got = run_sequence(cfg).r
+        seq = build_dataset(cfg.dataset, cfg.seed)
+        model = build_model(seq, cfg.model, cfg.seed)
+        view = TaskView(seq)
+        strategy = make_strategy(cfg.strategy, model, view, cfg.seed)
+        for k in range(len(seq.tasks)):
+            strategy.train_task(k)
+            for j in range(k + 1):
+                item = (j,) + view.split(seq.tasks[j].test)
+                ((scores, labels),), _, _ = view.losses(
+                    model, [item], per_item=view.examples)
+                assert got.get(k, j) == evaluate(scores.data, labels,
+                                                 cfg.metric)
 
     def test_failure_writes_partial_artifacts(self, tmp_path, monkeypatch):
         def refuse_task_1(strategy, k):

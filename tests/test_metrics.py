@@ -35,9 +35,48 @@ def test_micro_f1_equals_accuracy_single_label():
         view = TaskView(seq)
         model = build_model(seq, ModelConfig(backbone="gcn", hidden_dim=8),
                             3)
-        for j in range(len(seq.tasks)):
-            assert (evaluate(model, view, j, "micro_f1")
-                    == evaluate(model, view, j, "accuracy"))
+        tests = [(j,) + view.split(t.test) for j, t in enumerate(seq.tasks)]
+        cells, _, _ = view.losses(model, tests, per_item=view.examples)
+        for scores, labels in cells:
+            assert (evaluate(scores.data, labels, "micro_f1")
+                    == evaluate(scores.data, labels, "accuracy"))
+
+
+@pytest.mark.parametrize("pred, true", [
+    (np.array([[0], [1], [1]]), np.array([0, 1, 1])),  # (3, 1) predictions
+    (np.array([0, 1, 1]), np.array([0, 1])),           # length mismatch
+    (np.array([0, 1]), np.array([[0, 1]])),
+])
+def test_accuracy_refuses_mismatched_shapes(pred, true):
+    # a (3, 1) prediction used to broadcast to 3 x 3 and score 0.556
+    with pytest.raises(MetricError):
+        accuracy(pred, true)
+
+
+@pytest.mark.parametrize("scores, labels", [
+    (np.array([0.1, 0.9, 0.5, 0.7]), np.array([0, 1, 2, 2])),
+    (np.array([0.1, 0.9, 0.5, 0.7]), np.array([0, 1, -1, 1])),
+    (np.array([0.1, 0.9, 0.5]), np.array([0, 1, 1, 0])),
+    (np.array([[0.1, 0.9], [0.5, 0.7]]), np.array([0, 1])),
+])
+def test_auc_refuses_bad_inputs(scores, labels):
+    # labels [0, 1, 2, 2] used to give an AUC of 3.0
+    with pytest.raises(MetricError):
+        auc_score(scores, labels)
+
+
+def test_evaluate_reads_class_logits_or_graph_logits():
+    logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]])
+    assert evaluate(logits, np.array([0, 1, 1]), "accuracy") == 2 / 3
+    with pytest.raises(MetricError, match="graph tasks only"):
+        evaluate(logits, np.array([0, 1, 1]), "auc")
+    scores, labels = np.array([-1.0, 2.0, 0.5]), np.array([0.0, 1.0, 0.0])
+    assert evaluate(scores, labels, "accuracy") == 2 / 3
+    assert evaluate(scores, labels, "auc") == 1.0
+    with pytest.raises(MetricError):
+        evaluate(scores, labels[:2], "accuracy")
+    with pytest.raises(MetricError, match="unknown metric"):
+        evaluate(scores, labels, "f1")
 
 
 def test_auc_hand_value():

@@ -195,8 +195,10 @@ class TestJoint:
                           seq, StrategyConfig(kind="JOINT", epochs=120),
                           seed=5)
         from gnncl.harness.metrics import evaluate
-        for k in range(2):
-            assert evaluate(model, view, k, "accuracy") >= 0.9
+        tests = [(k,) + view.split(seq.tasks[k].test) for k in range(2)]
+        cells, _, _ = view.losses(model, tests, per_item=view.examples)
+        for scores, labels in cells:
+            assert evaluate(scores.data, labels, "accuracy") >= 0.9
 
 
 # three tasks each, so task 2 is scored with two earlier tasks

@@ -343,6 +343,47 @@ def test_cross_entropy_refuses_boolean_rows():
         SegmentPlan.rows(np.array([True, True, False]), 3)
 
 
+def _ce_value_and_grad(logits, labels, loss_fn=cross_entropy):
+    x = Tensor(logits, requires_grad=True)
+    with Tape():
+        loss = loss_fn(x, labels)
+        grad = backward(loss, [x])[x].data
+    return loss.item(), grad
+
+
+def test_cross_entropy_one_hot_probabilities_equal_integer_labels():
+    logits = np.random.default_rng(0).normal(size=(5, 3))
+    labels = np.array([0, 2, 1, 1, 0])
+    want = _ce_value_and_grad(logits, labels)
+    got = _ce_value_and_grad(logits, np.eye(3)[labels])
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def test_cross_entropy_soft_targets_equal_the_written_out_formula():
+    rng = np.random.default_rng(1)
+    logits = rng.normal(size=(4, 3))
+    probs = rng.random((4, 3))
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    def written_out(x, p):
+        return neg(div(sum_(mul(Tensor(p), log_softmax(x))),
+                       Tensor(float(x.shape[0]))))
+
+    want = _ce_value_and_grad(logits, probs, written_out)
+    got = _ce_value_and_grad(logits, probs)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_cross_entropy_refuses_targets_outside_unit_interval(bad):
+    probs = np.full((2, 3), 1 / 3)
+    probs[1, 2] = bad
+    with pytest.raises(DomainError):
+        cross_entropy(Tensor(np.zeros((2, 3))), probs)
+
+
 def test_binary_cross_entropy_value_and_stability():
     with Tape():
         loss = binary_cross_entropy(Tensor([0.0, 0.0]), np.array([1.0, 0.0]))

@@ -17,9 +17,10 @@ a temporary directory and read back by the loader, so it must equal
 the sha256 of the run's R.csv and the sha256 of its loss curves (every
 task's per-epoch losses as float64 bytes, in task order), or the
 exception type name in place of both when the run fails; the script
-prints every line and then exits with status 1 if any run failed, so a
-scripted comparison of two checkouts tells a broken run from a changed
-one. R.csv holds
+prints every line and then exits with status 1 if any run failed or if
+``path-gat-FINETUNE`` differs from ``sbm-gat-FINETUNE``, so a scripted
+comparison of two checkouts tells a broken run from a changed one.
+R.csv holds
 accuracies, which a last-bits change in training rarely moves; such a
 change shows in the second hash alone. Diff the output of two checkouts
 to see which runs changed:
@@ -33,6 +34,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -76,30 +78,38 @@ def main() -> None:
         for seed in DATASET_SEEDS:
             print(f"dataset-{name}-{seed}", dataset_hash(dataset, seed),
                   flush=True)
-    ok = True
+    runs = {}
     for kind in KINDS:
         for backbone in BACKBONES:
             for strategy in STRATEGY_KINDS:
-                ok &= print_run(f"{kind}-{backbone}-{strategy}",
-                                {"kind": kind}, backbone, strategy,
-                                args.epochs, args.seed)
+                name = f"{kind}-{backbone}-{strategy}"
+                runs[name] = print_run(name, {"kind": kind}, backbone,
+                                       strategy, args.epochs, args.seed)
     # the only run on the large graph, whose edge counts and widths no
     # default dataset reaches
-    ok &= print_run("sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"], "gat",
-                    "FINETUNE", args.epochs, args.seed)
+    runs["sbm16x-gat-FINETUNE"] = print_run(
+        "sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"], "gat", "FINETUNE",
+        args.epochs, args.seed)
     # the loader path: a round trip through the dataset directory format
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(build_dataset(resolve_dataset({"kind": "sbm"}),
                                    args.seed), tmp)
-        ok &= print_run("path-gat-FINETUNE", {"kind": "path", "path": tmp},
-                        "gat", "FINETUNE", args.epochs, args.seed)
-    if not ok:
+        runs["path-gat-FINETUNE"] = print_run(
+            "path-gat-FINETUNE", {"kind": "path", "path": tmp}, "gat",
+            "FINETUNE", args.epochs, args.seed)
+    if None in runs.values():
+        sys.exit(1)
+    if runs["path-gat-FINETUNE"] != runs["sbm-gat-FINETUNE"]:
+        print("path-gat-FINETUNE differs from sbm-gat-FINETUNE: the "
+              "dataset directory round trip changed the run",
+              file=sys.stderr)
         sys.exit(1)
 
 
 def print_run(name: str, dataset: dict, backbone: str, strategy: str,
-              epochs: int, seed: int) -> bool:
-    """Print the run's fingerprint line; False if the run raised."""
+              epochs: int, seed: int) -> Optional[str]:
+    """Print the run's fingerprint line; return its hashes, or None if
+    the run raised."""
     try:
         result = run_sequence(run_config_from_dict({
             "dataset": dataset,
@@ -108,13 +118,14 @@ def print_run(name: str, dataset: dict, backbone: str, strategy: str,
             "seed": seed}))
     except Exception as exc:
         print(name, type(exc).__name__, flush=True)
-        return False
+        return None
     r_hash = hashlib.sha256(result.r.to_csv().encode())
     curves = hashlib.sha256()
     for curve in result.loss_curves:
         curves.update(np.asarray(curve, np.float64).tobytes())
-    print(name, r_hash.hexdigest(), curves.hexdigest(), flush=True)
-    return True
+    hashes = f"{r_hash.hexdigest()} {curves.hexdigest()}"
+    print(name, hashes, flush=True)
+    return hashes
 
 
 if __name__ == "__main__":

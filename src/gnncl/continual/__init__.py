@@ -14,7 +14,6 @@ from .importance import (
 from .strategies import (
     STRATEGY_KINDS,
     ConfigError,
-    EpisodicMemory,
     Strategy,
     StrategyConfig,
     TaskView,
@@ -22,7 +21,7 @@ from .strategies import (
 )
 
 __all__ = [
-    "ConfigError", "EpisodicMemory", "ImportanceRecord",
+    "ConfigError", "ImportanceRecord",
     "PGD_ITERATIONS", "STRATEGY_KINDS", "Strategy", "StrategyConfig",
     "TaskView", "capacity_regularizer", "combine_importance",
     "compute_importance", "gem_project", "load_records",

@@ -1,9 +1,10 @@
 """Continual-learning strategies sharing one full-batch training loop.
 
 Every strategy trains task k with Adam on a per-epoch objective and may
-hook gradient post-processing (GEM) and end-of-task state updates
-(importance records, teachers, memory). EWC, MAS and TWP share one
-anchor path and differ only in how they score a task's importance.
+hook gradient post-processing (GEM), start-of-task distillation targets
+(LwF) and end-of-task state updates (importance records, memory). EWC,
+MAS and TWP share one anchor path and differ only in how they score a
+task's importance.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class TaskView:
     def __init__(self, seq: TaskSequence):
         self.seq = seq
         self.node = seq.task_type is TaskType.NODE
-        self._pools: Dict[Tuple[int, ...], ForwardContext] = {}
+        self._train: Dict[int, Scored] = {}
         if self.node:
             self.ctx = ForwardContext.for_graph(seq.graph)
             self.local_labels: List[np.ndarray] = []
@@ -126,36 +127,28 @@ class TaskView:
                     loc[seq.graph.labels == c] = j
                 self.local_labels.append(loc)
 
-    def pool_ctx(self, graphs: np.ndarray) -> ForwardContext:
-        """The context pooled over these pool graphs, in this order;
-        built once per index list and kept."""
-        key = tuple(graphs.tolist())
-        ctx = self._pools.get(key)
-        if ctx is None:
-            ctx = self._pools[key] = ForwardContext.for_pool(
-                [self.seq.graphs[i] for i in key])
-        return ctx
-
     def split(self, idx: np.ndarray
               ) -> Tuple[ForwardContext, Optional[SegmentPlan]]:
-        """The context and rows scoring examples ``idx``: the plan of
-        rows ``idx`` kept on the shared graph's context (node tasks;
-        their neighbours stay visible), or all rows (None) of the graphs
-        ``idx`` pooled. Training, memories and evaluation all lay out
-        their examples here, so an empty split of either task kind
-        raises :class:`EmptyBatchError` here, and each index list is
-        validated once."""
+        """A new layout of examples ``idx``: the shared graph's context
+        and a plan of rows ``idx`` (node tasks), or a context pooling the
+        graphs ``idx`` and all its rows (None). Its caller keeps it, so
+        each split is validated once; an empty one raises
+        :class:`EmptyBatchError`."""
         if len(idx) == 0:
             raise EmptyBatchError(
                 "no examples to score: a task's train or test split is "
                 "empty")
         if self.node:
-            return self.ctx, self.ctx.row_plan(idx)
-        return self.pool_ctx(idx), None
+            return self.ctx, SegmentPlan.rows(idx, self.ctx.graph.num_nodes)
+        pooled = ForwardContext.for_pool([self.seq.graphs[i] for i in idx])
+        return pooled, None
 
     def train_item(self, k: int) -> Scored:
-        """Task k's training examples as one (task, context, rows)."""
-        return (k,) + self.split(self.seq.tasks[k].train)
+        """Task k's training examples as one (task, context, rows),
+        laid out when first asked for and kept."""
+        if k not in self._train:
+            self._train[k] = (k,) + self.split(self.seq.tasks[k].train)
+        return self._train[k]
 
     def forward(self, model: GnnModel, ctx: ForwardContext,
                 want_attention: bool = False
@@ -194,8 +187,8 @@ class TaskView:
 
     def soft_targets(self, logits: Tensor, k: int, ctx: ForwardContext,
                      rows: Optional[SegmentPlan], tau: float) -> np.ndarray:
-        """:meth:`loss` targets from a teacher's task k ``logits`` at
-        temperature ``tau``: a row softmax per node, a sigmoid per graph."""
+        """:meth:`loss` targets from the task k ``logits`` distilled toward,
+        at temperature ``tau``: a row softmax per node, a sigmoid per graph."""
         scores = self.examples(logits, k, ctx, rows)[0].data / tau
         if not self.node:
             return sigmoid(scores).data
@@ -225,15 +218,6 @@ class TaskView:
         (loss,), _, snap = self.losses(model, [self.train_item(k)],
                                        want_attention)
         return loss, snap
-
-
-@dataclass
-class EpisodicMemory:
-    """Remembered examples of a finished task: ``indices`` name nodes or
-    pool graphs, scored as :meth:`TaskView.split` lays them out."""
-
-    task_index: int
-    indices: np.ndarray
 
 
 class Strategy:
@@ -383,28 +367,27 @@ class MasStrategy(AnchorStrategy):
 
 
 class LwfStrategy(Strategy):
-    """Adds temperature-softened distillation toward the frozen teacher
-    on every earlier task's head columns, over current training data."""
+    """Adds temperature-softened distillation toward the model as task k
+    begins on every earlier task's head columns, over task k's train data."""
 
     kind = "LWF"
 
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
-        # a copy of the model as it ended the last task, never trained
-        self.teacher: Optional[GnnModel] = None
         self._soft_targets: List[np.ndarray] = []
 
     def before_task(self, k: int) -> None:
-        """Teacher outputs are fixed for the whole task; compute the
-        softened targets of every earlier task once, off any tape."""
+        """The model as task k begins (as task k - 1 left it: only
+        evaluation runs between tasks) is distilled toward for the whole
+        task; compute every earlier task's softened targets once, off tape."""
         self._soft_targets = []
-        if self.teacher is None:
+        if k == 0:
             return
         _, ctx, rows = self.view.train_item(k)
-        full, _ = self.view.forward(self.teacher, ctx)
+        full, _ = self.view.forward(self.model, ctx)
         for t in range(k):
             self._soft_targets.append(self.view.soft_targets(
-                self.view.task_logits(self.teacher, full, t), t, ctx, rows,
+                self.view.task_logits(self.model, full, t), t, ctx, rows,
                 self.cfg.distill_temperature))
 
     def objective(self, k: int) -> Tensor:
@@ -416,9 +399,6 @@ class LwfStrategy(Strategy):
             total = add(total, self.view.loss(s, t, item[1], item[2], probs))
         return total
 
-    def after_task(self, k: int) -> None:
-        self.teacher = self.model.clone()
-
 
 class GemStrategy(Strategy):
     """Projects each step's gradient to not conflict with gradients on
@@ -428,14 +408,14 @@ class GemStrategy(Strategy):
 
     def __init__(self, cfg, model, view, seed):
         super().__init__(cfg, model, view, seed)
-        self.memory: List[EpisodicMemory] = []
+        # remembered examples of each finished task, laid out once
+        self.memory: List[Scored] = []
         self._memory_losses: List[Tensor] = []
 
     def objective(self, k: int) -> Tensor:
         """The task loss; every memory's loss is recorded with it."""
-        scored = [self.view.train_item(k)] + [
-            (m.task_index,) + self.view.split(m.indices) for m in self.memory]
-        losses, _, _ = self.view.losses(self.model, scored)
+        losses, _, _ = self.view.losses(
+            self.model, [self.view.train_item(k)] + self.memory)
         self._memory_losses = losses[1:]
         return losses[0]
 
@@ -462,7 +442,7 @@ class GemStrategy(Strategy):
         train = self.view.seq.tasks[k].train
         take = min(self.cfg.memory_per_task, len(train))
         idx = np.sort(rng.choice(train, size=take, replace=False))
-        self.memory.append(EpisodicMemory(k, idx))
+        self.memory.append((k,) + self.view.split(idx))
 
 
 class TwpStrategy(AnchorStrategy):

@@ -697,7 +697,7 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
             f"targets shape {t.shape} != logits shape {logits.shape}")
     if logits.size == 0:
         raise EmptyBatchError("binary_cross_entropy over zero elements")
-    if np.any((t < 0.0) | (t > 1.0)):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # refuses NaN too
         raise DomainError("targets must lie in [0, 1]")
     z = logits.data
     val = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))

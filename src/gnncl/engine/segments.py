@@ -8,9 +8,10 @@ from ``plan.bound``: ``scatter_sum(x, plan, src=, weights=)``,
 ``segment_softmax(scores, plan)``, ``place_cols(x, plan)``. They only
 fit the plan's length and bound to the tensor. Plans are built where
 indices enter: ``ForwardContext`` keeps ``adj_src_plan``,
-``adj_dst_plan``, ``edge_plans``, ``pool_plan`` and one ``row_plan``
-per row list, ``class_columns`` one per class set, and
-``SegmentPlan.rows`` builds a one-off.
+``adj_dst_plan``, ``edge_plans`` and ``pool_plan``, ``class_columns``
+one per class set, and ``SegmentPlan.rows`` builds the rows of a split,
+which ``TaskView`` lays out once per split and its owner keeps (a
+task's train split, each GEM memory, each test split of a run).
 """
 
 from __future__ import annotations

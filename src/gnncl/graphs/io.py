@@ -31,9 +31,11 @@ class DatasetError(ValueError):
 def save_dataset(seq: TaskSequence, path: str) -> None:
     """Write a node-task sequence as a dataset directory.
 
-    Undirected edges are emitted once (src < dst); each split is written
-    as a sorted node-index list under its ``train_mask``/``test_mask``
-    key.
+    A graph whose stored edges are symmetric is written undirected, each
+    edge once (src < dst); any other as ``"directed": true`` with every
+    stored edge. Each split is written as a sorted node-index list under
+    its ``train_mask``/``test_mask`` key, or as its 0/1 mask where the
+    index list would read back as one.
     """
     if seq.task_type is not TaskType.NODE:
         raise DatasetError(
@@ -41,10 +43,18 @@ def save_dataset(seq: TaskSequence, path: str) -> None:
             "graph-task sequences are generator-defined")
     os.makedirs(path, exist_ok=True)
     g = seq.graph
-    keep = g.edge_src < g.edge_dst
-    edges = np.stack([g.edge_src[keep], g.edge_dst[keep]], axis=1)
+    n = g.num_nodes
+    # CSR order sorts the stored keys; the reversed edges match them
+    # exactly when every edge is stored both ways
+    directed = not np.array_equal(g.edge_dst * n + g.edge_src,
+                                  np.sort(g.edge_src * n + g.edge_dst))
+    if directed:  # a pair [i, j] is stored in row i, as load reads it
+        edges = np.stack([g.edge_dst, g.edge_src], axis=1)
+    else:
+        keep = g.edge_src < g.edge_dst
+        edges = np.stack([g.edge_src[keep], g.edge_dst[keep]], axis=1)
     with open(os.path.join(path, "graph.json"), "w") as f:
-        json.dump({"num_nodes": g.num_nodes, "directed": False,
+        json.dump({"num_nodes": n, "directed": directed,
                    "edges": edges.tolist()}, f)
     with open(os.path.join(path, "features.csv"), "w") as f:
         for row in g.features:
@@ -55,9 +65,18 @@ def save_dataset(seq: TaskSequence, path: str) -> None:
     with open(os.path.join(path, "tasks.json"), "w") as f:
         json.dump({"tasks": [
             {"classes": list(t.classes),
-             "train_mask": t.train.tolist(),
-             "test_mask": t.test.tolist()}
+             "train_mask": _split_entry(t.train, n),
+             "test_mask": _split_entry(t.test, n)}
             for t in seq.tasks]}, f)
+
+
+def _split_entry(idx: np.ndarray, num_nodes: int) -> list:
+    """A split as ``tasks.json`` holds it: its node indices, or its 0/1
+    mask when the index list would parse as a mask (see _parse_mask),
+    which only a graph of at most 2 nodes allows."""
+    if len(idx) == num_nodes and np.all(idx <= 1):
+        return np.isin(np.arange(num_nodes), idx).astype(int).tolist()
+    return idx.tolist()
 
 
 def _load_json(path: str, name: str) -> dict:

@@ -401,6 +401,14 @@ def sweep_and_report(base: Mapping[str, Any],
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"sweep seeds repeat a seed: {list(seeds)}")
     out = Path(out_dir) if out_dir else None
+    if out is not None:
+        owners: Dict[str, str] = {}
+        for name, _ in variants:
+            if _slug(name) in owners:
+                raise ConfigError(
+                    f"sweep variants '{owners[_slug(name)]}' and '{name}' "
+                    f"share the output directory {_slug(name)}")
+            owners[_slug(name)] = name
     cells: List[SweepCell] = []
     for name, overrides in variants:
         for seed in seeds:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -110,8 +110,6 @@ class ForwardContext:
     node_to_graph: Optional[np.ndarray] = None
     num_graphs: Optional[int] = None
     graph_labels: Optional[np.ndarray] = None
-    _row_plans: Dict[Tuple[int, ...], SegmentPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def for_graph(cls, graph: Graph) -> "ForwardContext":
@@ -148,16 +146,6 @@ class ForwardContext:
     def pool_plan(self) -> SegmentPlan:
         """Graph of each node in a pooled context."""
         return SegmentPlan(self.node_to_graph, self.num_graphs)
-
-    def row_plan(self, idx: np.ndarray) -> SegmentPlan:
-        """Rows ``idx`` of this context's node logits as a plan; built
-        once per index list and kept."""
-        key = tuple(idx.tolist())
-        plan = self._row_plans.get(key)
-        if plan is None:
-            plan = self._row_plans[key] = SegmentPlan.rows(
-                idx, self.graph.num_nodes)
-        return plan
 
 
 @dataclass
@@ -287,12 +275,6 @@ class GnnModel:
                 raise ModelError(
                     f"parameter '{name}' shape {a.shape} != {p.shape}")
             p.data = a.copy()
-
-    def clone(self) -> "GnnModel":
-        twin = GnnModel(self.config, self.in_dim, self.num_classes,
-                        np.random.default_rng(0))
-        twin.load_state(dict(self.state_arrays()))
-        return twin
 
 
 def class_columns(model: GnnModel, classes: Sequence[int]) -> SegmentPlan:

@@ -148,6 +148,18 @@ def test_sweep_refuses_a_repeated_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_refuses_variants_sharing_a_directory(tmp_path, capsys):
+    cfg = write_json(tmp_path / "sweep.json", {
+        "base": TOY_RUN, "variants": [{"name": "a/b"}, {"name": "a_b"}]})
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", cfg, "--seeds", "0",
+                 "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ConfigError"
+    assert "'a/b' and 'a_b'" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_sweep_bad_seeds_argument(tmp_path, capsys):
     cfg = write_json(tmp_path / "sweep.json", {"base": TOY_RUN})
     assert main(["sweep", "--config", cfg, "--seeds", "a,b"]) == 1

@@ -512,6 +512,43 @@ def test_dataset_roundtrip(tmp_path):
     assert sequences_equal(seq, loaded)
 
 
+def test_directed_dataset_roundtrip(tmp_path):
+    # a directed 4-cycle used to be written undirected, as the one pair
+    # [0, 3], and reloaded with 2 stored edges instead of 4
+    g = graph_from_edges(4, [[0, 1], [1, 2], [2, 3], [3, 0]],
+                         np.eye(4), np.zeros(4, np.int64), directed=True)
+    seq = TaskSequence(task_type=TaskType.NODE, graph=g, tasks=[
+        TaskSpec(0, (0,), np.array([0, 1]), np.array([2, 3]))])
+    save_dataset(seq, tmp_path / "ds")
+    import json
+    assert json.loads((tmp_path / "ds" / "graph.json").read_text())[
+        "directed"] is True
+    loaded = load_dataset(tmp_path / "ds")
+    assert loaded.graph.num_edges == 4
+    assert sequences_equal(seq, loaded)
+
+
+def test_undirected_dataset_written_once_per_edge(tmp_path):
+    seq = generate_sbm_tasks(4, 2, 8, 0.4, 0.05, 6, 0.3, seed=11)
+    save_dataset(seq, tmp_path / "ds")
+    import json
+    spec = json.loads((tmp_path / "ds" / "graph.json").read_text())
+    assert spec["directed"] is False
+    assert 2 * len(spec["edges"]) == seq.graph.num_edges
+    assert all(src < dst for src, dst in spec["edges"])
+
+
+@pytest.mark.parametrize("nodes_per_class", [1, 2])
+def test_tiny_splits_roundtrip(tmp_path, nodes_per_class):
+    # on 2 nodes the train split [0, 1] used to reload as the mask [0, 1]
+    # (node 1 only); on 1 node [0] reloaded as an empty mask and failed
+    seq = generate_sbm_tasks(1, 1, nodes_per_class, 0.5, 0.0, 3, 0.1,
+                             seed=2, train_fraction=0.8)
+    assert seq.tasks[0].train.tolist() == list(range(nodes_per_class))
+    save_dataset(seq, tmp_path / "ds")
+    assert sequences_equal(seq, load_dataset(tmp_path / "ds"))
+
+
 def test_load_autosplit_when_masks_omitted(tmp_path):
     seq = generate_sbm_tasks(2, 2, 10, 0.4, 0.1, 4, 0.2, seed=1)
     save_dataset(seq, tmp_path / "ds")

@@ -450,6 +450,13 @@ class TestSweep:
                              out_dir=str(tmp_path))
         assert not any(tmp_path.iterdir())
 
+    def test_variants_sharing_a_directory_rejected(self, tmp_path):
+        # "a/b" and "a_b" both wrote a_b/seed_0/, the second over the first
+        with pytest.raises(ConfigError, match="'a/b' and 'a_b'"):
+            sweep_and_report(toy_cfg(), [("a/b", {}), ("a_b", {})], [0],
+                             out_dir=str(tmp_path))
+        assert not any(tmp_path.iterdir())
+
     def test_per_cell_directories_and_reports(self, tmp_path):
         sweep_and_report(
             toy_cfg(),

@@ -156,33 +156,71 @@ class TestEwcFreezeLimit:
 
 
 class TestLwf:
+    """LwF distils task k toward the model as task k begins; its targets
+    equal those of a copy of the model taken when task k - 1 ended."""
+
+    @staticmethod
+    def _copy(model):
+        twin = GnnModel(model.config, model.in_dim, model.num_classes,
+                        np.random.default_rng(0))
+        twin.load_state(dict(model.state_arrays()))
+        return twin
+
+    @staticmethod
+    def _targets(view, teacher, k, tau):
+        _, ctx, rows = view.train_item(k)
+        full, _ = view.forward(teacher, ctx)
+        return [view.soft_targets(view.task_logits(teacher, full, t), t,
+                                  ctx, rows, tau) for t in range(k)]
+
     def test_teacher_frozen_while_student_moves(self):
         seq, view, mc = _toy()
         model = build_model(seq, mc, 3)
         strat = make_strategy(StrategyConfig(kind="LWF", epochs=25),
                               model, view, 3)
         strat.train_task(0)
-        teacher0 = strat.teacher
+        teacher0 = self._copy(model)
         teacher_snap = _params(teacher0)
         strat.train_task(1)
-        # the teacher that guided task 1 was never itself trained
-        for n, arr in _params(teacher0).items():
-            assert np.array_equal(arr, teacher_snap[n]), n
-        # and a fresh teacher replaced it afterwards
-        assert strat.teacher is not teacher0
+        # task 1 was distilled toward the model as task 0 left it
+        want = self._targets(view, teacher0, 1, 2.0)
+        assert len(strat._soft_targets) == len(want) == 1
+        for got, exp in zip(strat._soft_targets, want):
+            assert np.array_equal(got, exp)
         moved = any(not np.array_equal(p.data, teacher_snap[n])
                     for n, p in model.named_parameters())
         assert moved
 
     def test_teacher_updates_after_each_task(self):
-        seq, view, mc = _toy()
-        model = build_model(seq, mc, 3)
+        seq = build_dataset(THREE_TASKS["sbm"], 3)
+        view = TaskView(seq)
+        model = build_model(seq, ModelConfig(backbone="gcn", hidden_dim=8),
+                            3)
         strat = make_strategy(StrategyConfig(kind="LWF", epochs=10),
                               model, view, 3)
         strat.train_task(0)
         strat.train_task(1)
-        for n, p in model.named_parameters():
-            assert np.array_equal(p.data, _params(strat.teacher)[n])
+        teacher1 = self._copy(model)
+        strat.before_task(2)
+        want = self._targets(view, teacher1, 2, 2.0)
+        assert len(strat._soft_targets) == len(want) == 2
+        for got, exp in zip(strat._soft_targets, want):
+            assert np.array_equal(got, exp)
+
+    def test_model_built_once_per_run(self, monkeypatch):
+        built = []
+        init = GnnModel.__init__
+
+        def counted(model, *args, **kwargs):
+            built.append(model)
+            init(model, *args, **kwargs)
+
+        monkeypatch.setattr(GnnModel, "__init__", counted)
+        result = run_sequence(run_config_from_dict({
+            "dataset": {"kind": "sbm"}, "model": {"backbone": "gcn"},
+            "strategy": {"kind": "LWF", "epochs": 2}}))
+        assert result.r.num_tasks == 3
+        assert len(built) == 1
 
 
 class TestJoint:
@@ -257,13 +295,12 @@ class TestOneForwardPerContext:
             return np.concatenate([grads[p].data.ravel() for p in params])
 
         want_mem = []
-        for m in strat.memory:
-            ctx, rows = view.split(m.indices)
+        for task, ctx, rows in strat.memory:
             with Tape():
                 full, _ = view.forward(model, ctx)
                 want_mem.append(flat(backward(view.loss(
-                    view.task_logits(model, full, m.task_index),
-                    m.task_index, ctx, rows), params)))
+                    view.task_logits(model, full, task), task, ctx, rows),
+                    params)))
         want_mem = np.stack(want_mem)
         with Tape():
             g = flat(backward(view.train_loss(model, 2)[0], params))
@@ -315,13 +352,12 @@ class TestIndexPlansBuiltOnce:
         seq = build_dataset(resolve_dataset({"kind": "sbm"}), 0)
         view = TaskView(seq)
         train = seq.tasks[0].train
-        ctx, rows = view.split(train)
+        _, rows = view.split(train)
         assert isinstance(rows, SegmentPlan)
         assert np.array_equal(rows.ids, train)
-        assert view.split(train.copy()) == (ctx, rows)
-        assert view.split(train.copy())[1] is rows
-        assert view.train_item(0)[2] is rows
-        assert view.split(seq.tasks[0].test)[1] is not rows
+        # split lays out afresh; the train split's owner keeps its layout
+        assert view.split(train)[1] is not rows
+        assert view.train_item(0) is view.train_item(0)
 
 
 class TestGemBookkeeping:
@@ -334,8 +370,9 @@ class TestGemBookkeeping:
                 StrategyConfig(kind="GEM", memory_per_task=5, epochs=5),
                 model, view, 3)
             strat.train_task(0)
-            mems.append(strat.memory[0])
-        assert np.array_equal(mems[0].indices, mems[1].indices)
+            _, _, rows = strat.memory[0]
+            mems.append(rows.ids)
+        assert np.array_equal(mems[0], mems[1])
 
     def test_memory_size_capped_by_train_set(self):
         seq, view, mc = _toy()
@@ -344,7 +381,8 @@ class TestGemBookkeeping:
             StrategyConfig(kind="GEM", memory_per_task=10 ** 6, epochs=3),
             model, view, 3)
         strat.train_task(0)
-        assert len(strat.memory[0].indices) == len(seq.tasks[0].train)
+        _, _, rows = strat.memory[0]
+        assert len(rows.ids) == len(seq.tasks[0].train)
 
     def test_memory_indices_come_from_task_train_nodes(self):
         seq, view, mc = _toy()
@@ -354,8 +392,8 @@ class TestGemBookkeeping:
             model, view, 3)
         strat.train_task(0)
         strat.train_task(1)
-        for k, mem in enumerate(strat.memory):
-            assert set(mem.indices) <= set(seq.tasks[k].train)
+        for k, (_, _, rows) in enumerate(strat.memory):
+            assert set(rows.ids) <= set(seq.tasks[k].train)
 
 
 class TestTrainingLoop:

@@ -384,6 +384,12 @@ def test_cross_entropy_refuses_targets_outside_unit_interval(bad):
         cross_entropy(Tensor(np.zeros((2, 3))), probs)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_binary_cross_entropy_refuses_targets_outside_unit_interval(bad):
+    with pytest.raises(DomainError):
+        binary_cross_entropy(Tensor([0.0, 1.0]), np.array([bad, 1.0]))
+
+
 def test_binary_cross_entropy_value_and_stability():
     with Tape():
         loss = binary_cross_entropy(Tensor([0.0, 0.0]), np.array([1.0, 0.0]))

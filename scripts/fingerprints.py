@@ -28,13 +28,19 @@ to see which runs changed:
     PYTHONPATH=src python3 scripts/fingerprints.py > fp.txt
 
 Hashes depend on the BLAS build, so compare outputs made on one machine.
+``tests/fingerprints.txt`` holds the lines of the current code, and
+``tests/test_fingerprints.py`` runs :func:`fingerprints` in-process and
+names each line that differs from it. A change that regroups floats on
+purpose rewrites that file:
+
+    PYTHONPATH=src python3 scripts/fingerprints.py > tests/fingerprints.txt
 """
 
 import argparse
 import hashlib
 import sys
 import tempfile
-from typing import Optional
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -68,36 +74,47 @@ def dataset_hash(dataset: dict, seed: int) -> str:
     return h.hexdigest()
 
 
+def fingerprints(seed: int = 0, epochs: int = 20
+                 ) -> Iterator[Tuple[str, str, bool]]:
+    """Every fingerprint in print order, as ``(name, text, failed)``:
+    ``text`` is the dataset's hash or the run's two hashes, or the
+    exception type name of a run that raised (``failed`` true)."""
+    for name, dataset in DATASETS:
+        for dataset_seed in DATASET_SEEDS:
+            yield (f"dataset-{name}-{dataset_seed}",
+                   dataset_hash(dataset, dataset_seed), False)
+    for kind in KINDS:
+        for backbone in BACKBONES:
+            for strategy in STRATEGY_KINDS:
+                yield run_fingerprint(f"{kind}-{backbone}-{strategy}",
+                                      {"kind": kind}, backbone, strategy,
+                                      epochs, seed)
+    # the only run on the large graph, whose edge counts and widths no
+    # default dataset reaches
+    yield run_fingerprint("sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"],
+                          "gat", "FINETUNE", epochs, seed)
+    # the loader path: a round trip through the dataset directory format
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(build_dataset(resolve_dataset({"kind": "sbm"}), seed),
+                     tmp)
+        yield run_fingerprint("path-gat-FINETUNE",
+                              {"kind": "path", "path": tmp}, "gat",
+                              "FINETUNE", epochs, seed)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epochs", type=int, default=20)
     args = ap.parse_args()
 
-    for name, dataset in DATASETS:
-        for seed in DATASET_SEEDS:
-            print(f"dataset-{name}-{seed}", dataset_hash(dataset, seed),
-                  flush=True)
     runs = {}
-    for kind in KINDS:
-        for backbone in BACKBONES:
-            for strategy in STRATEGY_KINDS:
-                name = f"{kind}-{backbone}-{strategy}"
-                runs[name] = print_run(name, {"kind": kind}, backbone,
-                                       strategy, args.epochs, args.seed)
-    # the only run on the large graph, whose edge counts and widths no
-    # default dataset reaches
-    runs["sbm16x-gat-FINETUNE"] = print_run(
-        "sbm16x-gat-FINETUNE", dict(DATASETS)["sbm16x"], "gat", "FINETUNE",
-        args.epochs, args.seed)
-    # the loader path: a round trip through the dataset directory format
-    with tempfile.TemporaryDirectory() as tmp:
-        save_dataset(build_dataset(resolve_dataset({"kind": "sbm"}),
-                                   args.seed), tmp)
-        runs["path-gat-FINETUNE"] = print_run(
-            "path-gat-FINETUNE", {"kind": "path", "path": tmp}, "gat",
-            "FINETUNE", args.epochs, args.seed)
-    if None in runs.values():
+    failed = False
+    for name, text, run_failed in fingerprints(args.seed, args.epochs):
+        print(name, text, flush=True)
+        runs[name] = text
+        failed |= run_failed
+    if failed:
         sys.exit(1)
     if runs["path-gat-FINETUNE"] != runs["sbm-gat-FINETUNE"]:
         print("path-gat-FINETUNE differs from sbm-gat-FINETUNE: the "
@@ -106,10 +123,10 @@ def main() -> None:
         sys.exit(1)
 
 
-def print_run(name: str, dataset: dict, backbone: str, strategy: str,
-              epochs: int, seed: int) -> Optional[str]:
-    """Print the run's fingerprint line; return its hashes, or None if
-    the run raised."""
+def run_fingerprint(name: str, dataset: dict, backbone: str, strategy: str,
+                    epochs: int, seed: int) -> Tuple[str, str, bool]:
+    """The run's ``(name, hashes, False)``, or ``(name, exception type
+    name, True)`` if the run raised."""
     try:
         result = run_sequence(run_config_from_dict({
             "dataset": dataset,
@@ -117,15 +134,12 @@ def print_run(name: str, dataset: dict, backbone: str, strategy: str,
             "strategy": {"kind": strategy, "epochs": epochs},
             "seed": seed}))
     except Exception as exc:
-        print(name, type(exc).__name__, flush=True)
-        return None
+        return name, type(exc).__name__, True
     r_hash = hashlib.sha256(result.r.to_csv().encode())
     curves = hashlib.sha256()
     for curve in result.loss_curves:
         curves.update(np.asarray(curve, np.float64).tobytes())
-    hashes = f"{r_hash.hexdigest()} {curves.hexdigest()}"
-    print(name, hashes, flush=True)
-    return hashes
+    return name, f"{r_hash.hexdigest()} {curves.hexdigest()}", False
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
     VJP, ``vjp(g, live)``, which maps the output's cotangent ``g`` to one
     per input, or None for an input that ``live`` marks off the tape. A
     VJP that reads the op's own output (``exp``, ``tanh``, ``sigmoid``,
-    ``elu``) binds it late: ``out = _apply(...); return out``.
+    ``elu``, ``segment_softmax``) binds it late:
+    ``out = _apply(...); return out``.
     """
     out = Tensor(data)
     tape = active_tape()
@@ -615,17 +616,27 @@ def segment_max(values: np.ndarray, plan: SegmentPlan) -> np.ndarray:
 
 
 def segment_softmax(scores: Tensor, plan: SegmentPlan) -> Tensor:
-    """Softmax over groups of the rows of ``scores``, column by column.
+    """Softmax over groups of the rows of ``scores``, column by column,
+    recorded as one op.
 
     ``scores`` has shape ``(E,)`` or ``(E, H)``; the plan's id ``e``
     names the group of row e, and in each column the entries of each
-    group sum to 1 in the output. An ``(E, H)`` call equals H calls on
-    its columns bit for bit: the per-group sums are one width-H
-    :func:`scatter_sum`, which adds each column's rows in row order
-    whatever the width. Every group in ``[0, plan.bound)`` must be
-    non-empty. The per-group max is subtracted as a constant before
-    exponentiation; shift invariance keeps all derivatives exact. See
-    :func:`segment_max` for how the max is taken.
+    group sum to 1 in the output. Every group in ``[0, plan.bound)``
+    must be non-empty. The per-group max is subtracted as a constant
+    before exponentiation; shift invariance keeps all derivatives
+    exact. See :func:`segment_max` for how the max is taken.
+
+    The value is computed by the numpy calls of the chain
+    ``div(e, gather_rows(scatter_sum(e, plan), plan))`` with ``e`` the
+    exp of the shifted scores, in its order, so it equals that chain bit
+    for bit. An ``(E, H)`` call equals H calls on its columns bit for
+    bit: the per-group sums are one width-H segment sum, which adds each
+    column's rows in row order whatever the width. Each group holds its
+    own max, so every denominator is at least 1 (or NaN).
+
+    The VJP is the closed form ``y * (g - gather(scatter(g * y)))``,
+    with ``y`` the output, built from recorded ops, so it
+    differentiates again.
     """
     scores = as_tensor(scores)
     if scores.ndim not in (1, 2):
@@ -638,9 +649,15 @@ def segment_softmax(scores: Tensor, plan: SegmentPlan) -> Tensor:
         empty = int(np.argmin(plan.counts))
         raise SegmentError(f"segment {empty} has no entries")
     seg_max = segment_max(scores.data, plan)
-    shifted = sub(scores, Tensor(np.take(seg_max, plan.ids, axis=0)))
-    num = exp(shifted)
-    return div(num, gather_rows(scatter_sum(num, plan), plan))
+    num = np.exp(scores.data - np.take(seg_max, plan.ids, axis=0))
+    den = np.take(plan.segment_sums(num), plan.ids, axis=0)
+
+    def vjp(g, live):
+        dots = gather_rows(scatter_sum(mul(g, out), plan), plan)
+        return (mul(out, sub(g, dots)),)
+
+    out = _apply("segment_softmax", num / den, (scores,), vjp)
+    return out
 
 
 # ---------------------------------------------------------------------------

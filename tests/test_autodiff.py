@@ -338,28 +338,31 @@ def test_second_derivative_of_l1_of_gradient(rng):
 
 
 def test_second_derivative_through_softmax(rng):
-    scores = Tensor(rng.normal(size=5), requires_grad=True)
     sorted_ids = np.array([0, 0, 1, 1, 1])
-    # a sorted plan (max by reduceat); the same ids as row indices, never
-    # scanned for starts, and an unsorted plan (both max by maximum.at)
-    for seg in (SegmentPlan(sorted_ids, 2), SegmentPlan.rows(sorted_ids, 2),
-                SegmentPlan(np.array([1, 0, 1, 0, 1]), 2)):
-        def inner():
-            return sq_l2_norm(segment_softmax(scores, seg))
+    # (E,) and (E, H) scores; a sorted plan (max by reduceat), the same
+    # ids as row indices, never scanned for starts, and an unsorted plan
+    # (both max by maximum.at)
+    for shape in ((5,), (5, 3)):
+        scores = Tensor(rng.normal(size=shape), requires_grad=True)
+        for seg in (SegmentPlan(sorted_ids, 2),
+                    SegmentPlan.rows(sorted_ids, 2),
+                    SegmentPlan(np.array([1, 0, 1, 0, 1]), 2)):
+            def inner():
+                return sq_l2_norm(segment_softmax(scores, seg))
 
-        with Tape():
-            loss = inner()
-            g = backward(loss, [scores], create_graph=True)
-            outer = backward(sum_(abs_(g[scores])), [scores])
-        analytic = outer[scores].data
-
-        def cap_value():
             with Tape():
-                g = backward(inner(), [scores], create_graph=True)
-                return sum_(abs_(g[scores])).item()
+                loss = inner()
+                g = backward(loss, [scores], create_graph=True)
+                outer = backward(sum_(abs_(g[scores])), [scores])
+            analytic = outer[scores].data
 
-        numeric = central_diff(cap_value, [scores.data], eps=1e-5)[0]
-        assert max_rel_err(analytic, numeric) < 1e-5
+            def cap_value():
+                with Tape():
+                    g = backward(inner(), [scores], create_graph=True)
+                    return sum_(abs_(g[scores])).item()
+
+            numeric = central_diff(cap_value, [scores.data], eps=1e-5)[0]
+            assert max_rel_err(analytic, numeric) < 1e-5
 
 
 def test_second_derivative_through_column_primitives(rng):

@@ -37,6 +37,7 @@ from gnncl.engine import (
     segment_softmax,
     sigmoid,
     sq_l2_norm,
+    sub,
     sum_,
     sum_axis,
     take_cols,
@@ -728,6 +729,54 @@ def test_segment_softmax_columns_match_1d_calls(sort, scanned, heads, data):
         for h, (want, want_grad) in enumerate(wants):
             assert _same(out.data[:, h], want)
             assert _same(grad.data[:, h], want_grad)
+
+
+def _softmax_chain(scores, plan):
+    """The chain of recorded ops that ``segment_softmax`` fuses: exp of
+    the shifted scores, divided by their gathered per-segment sums."""
+    shift = np.take(segment_max(scores.data, plan), plan.ids, axis=0)
+    num = exp(sub(scores, Tensor(shift)))
+    return div(num, gather_rows(scatter_sum(num, plan), plan))
+
+
+@given(st.sampled_from(["sorted", "rows", "unsorted"]),
+       st.sampled_from([None, 1, 3]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_segment_softmax_is_one_node_equal_to_its_chain(layout, heads, data):
+    # the value bit for bit and the first-order gradient to 1e-12 of the
+    # cotangent's scale, on (E,) and (E, H) scores, with the max by
+    # reduceat (sorted plan) or by maximum.at (row plan, unsorted plan);
+    # the call leaves one segment_softmax node and no node of the chain
+    n = data.draw(st.integers(1, 5))
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    ids = np.sort(np.concatenate([np.arange(n),
+                                  np.asarray(extra, np.int64)]))
+    if layout == "unsorted":
+        ids = ids[np.asarray(data.draw(st.permutations(range(len(ids)))),
+                             np.int64)]
+    seg = (SegmentPlan.rows(ids, n) if layout == "rows"
+           else SegmentPlan(ids, n))
+    if layout != "unsorted":  # a permutation may come out sorted
+        assert (seg.starts is not None) == (layout == "sorted")
+    shape = (len(ids),) if heads is None else (len(ids), heads)
+    values = data.draw(hnp.arrays(np.float64, shape, elements=_finite))
+    up = Tensor(data.draw(hnp.arrays(np.float64, shape, elements=_finite)))
+    x = Tensor(values, requires_grad=True)
+    for _ in _kernels():
+        results = []
+        for softmax in (segment_softmax, _softmax_chain):
+            with Tape() as tape:
+                out = softmax(x, seg)
+                ops = [node.op for node in tape.nodes if node.op != "leaf"]
+                grad = backward(sum_(mul(out, up)), [x])[x]
+            results.append((out.data, grad.data, ops))
+        (out, grad, ops), (want, want_grad, chain_ops) = results
+        assert ops == ["segment_softmax"]
+        assert chain_ops == ["sub", "exp", "scatter_sum", "gather_rows",
+                             "div"]
+        assert _same(out, want)
+        scale = max(1.0, float(np.max(np.abs(up.data))))
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * scale
 
 
 # fused edge kernels against the chains of ops they replace ---------------

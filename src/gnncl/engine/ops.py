@@ -31,7 +31,7 @@ from .tensor import (
     active_tape,
     as_tensor,
 )
-from .segments import SegmentPlan
+from .segments import SegmentPlan, block_rows
 
 
 def _apply(op: str, data: np.ndarray, inputs: Sequence[Tensor],
@@ -339,14 +339,16 @@ def leaky_relu(x, alpha: float = 0.2) -> Tensor:
 
     The slope is looked up from ``(alpha, 1)`` by the sign test and the
     value is ``x * slope``: the same bits as selecting with
-    ``np.where``, without its branches."""
+    ``np.where``, without its branches. The VJP keeps the 1-byte sign
+    test, not the float slope, and looks the slope up again when it
+    runs."""
     x = as_tensor(x)
-    slope = np.array((alpha, 1.0)).take((x.data > 0).view(np.uint8))
-    data = x.data * slope
-    slope = Tensor(slope)
+    slopes = np.array((alpha, 1.0))
+    sign = (x.data > 0).view(np.uint8)
+    data = x.data * slopes.take(sign)
 
     def vjp(g, live):
-        return (mul(g, slope),)
+        return (mul(g, Tensor(slopes.take(sign))),)
 
     return _apply("leaky_relu", data, (x,), vjp)
 
@@ -525,7 +527,12 @@ def edge_dot(a: Tensor, b: Tensor, ia: SegmentPlan,
     ``a`` and ``b`` share their shape past the first axis, ``(d,)`` or
     ``(H, d)``, and the output has shape ``(E,)`` or ``(E, H)``.
     ``ia`` and ``ib`` are plans of E row indices each, with bounds
-    ``a.shape[0]`` and ``b.shape[0]``. The result equals
+    ``a.shape[0]`` and ``b.shape[0]``. The edges go in blocks of at
+    most ``BLOCK_VALUES // width`` rows (``segments.BLOCK_VALUES``):
+    each block's rows at both ends are gathered into the plans'
+    workspaces, multiplied in place and reduced into the block's slice
+    of the output, so no array of E full rows is made. Each edge's sum
+    is reduced on its own, so the result equals
     ``sum_axis(mul(gather_rows(a, ia), gather_rows(b, ib)), -1)`` bit
     for bit. Each input's cotangent is one :func:`scatter_sum` of the
     other input, weighted by the output's cotangent.
@@ -536,24 +543,42 @@ def edge_dot(a: Tensor, b: Tensor, ia: SegmentPlan,
             f"edge_dot rows of shapes {a.shape} and {b.shape} do not align")
     pa = _plan(ia, "row index", bound=a.shape[0])
     pb = _plan(ib, "row index", bound=b.shape[0], length=len(pa))
-    prod = pa.gather(a.data, pa.ids)
-    prod *= (np.take(b.data, pb.ids, axis=0) if pb is pa
-             else pb.gather(b.data, pb.ids))
-    width = prod.shape[-1]
-    if width < 8:
-        # numpy adds fewer than 8 values in order, starting from +0.0;
-        # column by column that order is several times faster
-        data = prod[..., 0] + 0.0
-        for k in range(1, width):
-            data += prod[..., k]
+
+    def products(ids_a, ids_b):
+        prod = pa.gather(a.data, ids_a)
+        prod *= (np.take(b.data, ids_b, axis=0) if pb is pa
+                 else pb.gather(b.data, ids_b))
+        return prod
+
+    e = len(pa)
+    step = block_rows(math.prod(a.shape[1:]))
+    if e <= step:
+        data = _sum_last(products(pa.ids, pb.ids))
     else:
-        data = prod.sum(axis=-1)
+        data = np.empty((e,) + a.shape[1:-1])
+        for lo in range(0, e, step):
+            span = slice(lo, lo + step)
+            _sum_last(products(pa.ids[span], pb.ids[span]), out=data[span])
 
     def vjp(g, live):
         return (scatter_sum(b, pa, src=pb, weights=g) if live[0] else None,
                 scatter_sum(a, pb, src=pa, weights=g) if live[1] else None)
 
     return _apply("edge_dot", data, (a, b), vjp)
+
+
+def _sum_last(prod: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``prod.sum(axis=-1)``, into ``out`` when given."""
+    width = prod.shape[-1]
+    if width >= 8:
+        return prod.sum(axis=-1, out=out)
+    # numpy adds fewer than 8 values in order, starting from +0.0;
+    # column by column that order is several times faster
+    out = np.add(prod[..., 0], 0.0, out=out)
+    for k in range(1, width):
+        out += prod[..., k]
+    return out
 
 
 def take_cols(x: Tensor, cols: SegmentPlan) -> Tensor:

@@ -42,6 +42,18 @@ def check_index(idx, upper: int, error: Type[Exception],
 # about as long as bincount spends on a thousand values
 SLOT_VALUES = 1024
 
+# float64 values per block of gathered rows in the slot sums and
+# edge_dot: 2^17 values are 1 MB, half of a 2 MB L2 cache, so a block
+# stays cached from its gather to its last read and the workspace
+# holds one block, not one row per entry of the plan
+BLOCK_VALUES = 1 << 17
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` values in one block: ``BLOCK_VALUES // width``,
+    at least one."""
+    return max(1, BLOCK_VALUES // max(width, 1))
+
 
 class SegmentPlan:
     """Segment ids (or row indices) validated once, plus cached layouts.
@@ -59,13 +71,16 @@ class SegmentPlan:
     None. ``counts`` caches the segment sizes, ``depth`` the largest of
     them, ``distinct`` whether no id repeats, and ``slots`` the
     :class:`SlotLayout` that ``segment_sums`` sums through for
-    ``scatter_sum``. ``workspace(width)`` is the array that
-    the indexed kernels gather rows of ``width`` values into. Multi-head
+    ``scatter_sum``. ``workspace(rows, width)`` is the array that the
+    indexed kernels gather rows of ``width`` values into. The slot sums
+    and ``edge_dot`` work through their rows in blocks of at most
+    ``BLOCK_VALUES // width`` rows, so the plan keeps one block of
+    gathered rows (1 MB at most), not one row per entry. Multi-head
     layers scatter rows of ``H * d`` values over the one plan of their
     graph; every width shares the one layout and the one buffer, so the
     slot sums keep no index that grows with the width. Only scatters
     with too few values per slot for the slot loop keep a bincount
-    index per width.
+    index per width, and gather a row per entry for it.
     """
 
     __slots__ = ("ids", "bound", "starts", "_slots", "_slot_rows", "_work",
@@ -152,33 +167,39 @@ class SegmentPlan:
             self._slot_rows = held
         return held[1]
 
-    def workspace(self, width: int) -> np.ndarray:
-        """A ``(len, width)`` float64 array kept on the plan for rows
+    def workspace(self, rows: int, width: int) -> np.ndarray:
+        """A ``(rows, width)`` float64 array kept on the plan for rows
         gathered through it. The indexed kernels fill it and use it up
         within one call, so every width shares one buffer, sized for
-        the widest rows yet: a gather of any width overwrites it. One
+        the largest request yet: a gather of any width overwrites it.
+        The slot sums and ``edge_dot`` ask for one block of at most
+        ``BLOCK_VALUES // width`` rows (every row, when the plan fits
+        in one block), so the buffer stays within ``BLOCK_VALUES``
+        values; only the bincount path of ``segment_sums`` asks for a
+        row per entry, fewer than ``SLOT_VALUES * depth`` values. One
         buffer reused for the life of the plan faults its pages in
         once, where a fresh array on every call can fault them in again
         each time. The buffer is an anonymous mapping of its own,
         unmapped when the plan dies, so it never pins the allocator's
         heap."""
-        size = len(self) * width
+        size = rows * width
         if self._work.size < size:
             self._work = np.frombuffer(mmap.mmap(-1, 8 * size), np.float64)
             # the kept views of segment_sums read the old buffer
             self._sums.clear()
-        return self._work[:size].reshape(len(self), width)
+        return self._work[:size].reshape(rows, width)
 
     def gather(self, x: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """``x[order]`` written into the workspace, for ``len(self)``
-        validated row indices ``order``; valid until the next gather
-        through this plan."""
+        """``x[order]`` written into the workspace, for validated row
+        indices ``order``: all ``len(self)`` of them, or one block's;
+        valid until the next gather through this plan."""
         tail = x.shape[1:]
-        work = self.workspace(math.prod(tail))
+        rows = order.shape[0]
+        work = self.workspace(rows, math.prod(tail))
         # the indices are validated, so clipping never moves one; with
         # the default mode numpy would gather into a temporary and copy
         return np.take(x, order, axis=0, mode="clip",
-                       out=work.reshape((len(self),) + tail))
+                       out=work.reshape((rows,) + tail))
 
     def segment_sums(self, x: np.ndarray,
                      rows: Optional["SegmentPlan"] = None,
@@ -192,15 +213,23 @@ class SegmentPlan:
         Every segment adds its rows in entry order, starting from +0.0,
         as the unbuffered ``np.add`` scatter does, so the two agree bit
         for bit. With at least ``SLOT_VALUES`` values per slot, the
-        rows are gathered into the workspace in the order of ``slots``
-        with one ``take``; each slot is one in-place add onto a prefix
-        of an accumulator that ranks the segments by size, and one
-        ``take`` puts the segments back in order. The views are kept
-        per width, shared by every row shape of that width, so such a
-        call builds no index. With fewer, the dispatch of each add
-        costs more than its work (the rows are few or one segment is
-        deep), and the sum is one ``np.bincount`` over a cached index
-        of ``len * width`` entries, at most ``SLOT_VALUES * depth``."""
+        rows are taken in the order of ``slots`` in blocks of at most
+        ``BLOCK_VALUES // width`` rows. Each block is one ``take`` into
+        the workspace (and, with ``scale``, one ``take`` of its factors
+        and one in-place multiply); each piece of a slot that falls in
+        the block is one in-place add onto a prefix of an accumulator
+        that ranks the segments by size. A slot cut by a block edge
+        adds its two pieces onto disjoint parts of the prefix, and
+        every slot of a segment comes after its slots before, so the
+        order of the adds is unchanged. One ``take`` puts the segments
+        back in order. The views are kept per width, shared by every
+        row shape of that width, so such a call builds no index, and
+        a plan whose rows fit in one block makes one ``take`` of all of
+        them, sliced nowhere. With fewer values per slot, the dispatch
+        of each add costs more than its work (the rows are few or one
+        segment is deep), and the sum is one ``np.bincount`` over a
+        cached index of ``len * width`` entries, at most
+        ``SLOT_VALUES * depth``, of rows gathered all at once."""
         tail = x.shape[1:]
         width = math.prod(tail)
         if len(self) * width < SLOT_VALUES * self.depth:
@@ -212,14 +241,17 @@ class SegmentPlan:
             sums = np.bincount(self._flat(width), weights=values.ravel(),
                                minlength=self.bound * width)
             return sums.reshape((self.bound,) + tail)
-        acc, adds = self._sums.get(width) or self._sum_views(width)
-        order = self.slots.perm if rows is None else self.slot_rows(rows)
-        values = self.gather(x, order)
-        if scale is not None:
-            values *= np.take(scale, self.slots.perm, axis=0)[..., None]
+        acc, blocks = self._sums.get(width) or self._sum_views(width)
+        perm = self.slots.perm
+        order = perm if rows is None else self.slot_rows(rows)
         acc.fill(0.0)
-        for part, slot in adds:
-            np.add(part, slot, out=part)
+        for span, adds in blocks:
+            values = self.gather(x, order if span is None else order[span])
+            if scale is not None:
+                values *= np.take(scale, perm if span is None else perm[span],
+                                  axis=0)[..., None]
+            for part, slot in adds:
+                np.add(part, slot, out=part)
         return np.take(acc, self.slots.pos, axis=0).reshape(
             (self.bound,) + tail)
 
@@ -235,12 +267,29 @@ class SegmentPlan:
         return flat
 
     def _sum_views(self, width: int) -> Tuple:
-        """(accumulator, per-slot (accumulator prefix, workspace slot)
-        views) for rows of ``width`` values, whatever their shape."""
-        work = self.workspace(width)
+        """(accumulator, blocks) for rows of ``width`` values, whatever
+        their shape. Each block is ``(span, adds)``: the slice of slot
+        order it gathers (None for all of it, when the plan fits in one
+        block) and its (accumulator prefix, workspace rows) views, one
+        per piece of a slot in the block."""
+        step = block_rows(width)
+        e = len(self)
         acc = np.zeros((self.bound, width))
-        views = (acc, [(acc[:m], work[lo:lo + m])
-                       for m, lo in self.slots.spans])
+        work = self.workspace(min(step, e), width)
+        blocks, adds, lo = [], [], 0
+        for m, first in self.slots.spans:
+            start = first
+            while start < first + m:
+                hi = min(lo + step, e)
+                stop = min(first + m, hi)
+                adds.append((acc[start - first:stop - first],
+                             work[start - lo:stop - lo]))
+                start = stop
+                if stop == hi:
+                    blocks.append((slice(lo, hi) if hi - lo < e else None,
+                                   adds))
+                    adds, lo = [], hi
+        views = (acc, blocks)
         self._sums[width] = views
         return views
 

@@ -46,15 +46,24 @@ from gnncl.engine import (
 )
 from gnncl.engine import segments
 from gnncl.engine.ops import segment_max
+from gnncl.harness import build_dataset, resolve_dataset
+from gnncl.nn import ForwardContext
 
 
 def _kernels():
     """Run a loop body once with each kernel of ``scatter_sum``: the
-    slot loop, then one bincount. The plan picks one by the number of
-    values per slot; here ``SLOT_VALUES`` forces each in turn."""
-    for values in (0, 1 << 62):
+    slot loop with its rows in one block, in blocks of 48 and of 5
+    values and in one-row blocks, then one bincount. The plan picks a
+    kernel by the number of values per slot and cuts the slot loop's
+    rows, like ``edge_dot``'s, into blocks of ``BLOCK_VALUES`` values;
+    here ``SLOT_VALUES`` and ``BLOCK_VALUES`` force each in turn. A
+    plan keeps the slot views of the blocks it was first called with,
+    so the loop body builds its plans."""
+    for slot_values, block_values in ((0, segments.BLOCK_VALUES), (0, 48),
+                                      (0, 5), (0, 1), (1 << 62, 5)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(segments, "SLOT_VALUES", values)
+            mp.setattr(segments, "SLOT_VALUES", slot_values)
+            mp.setattr(segments, "BLOCK_VALUES", block_values)
             yield
 
 
@@ -281,8 +290,8 @@ def test_segment_plan_layout():
     x = np.arange(5.0)
     for _ in _kernels():
         with Tape():
-            assert np.array_equal(scatter_sum(Tensor(x), plan).data,
-                                  _add_at(x, ids, 70000))
+            got = scatter_sum(Tensor(x), SegmentPlan(ids, 70000)).data
+        assert np.array_equal(got, _add_at(x, ids, 70000))
     # unsorted ids or an empty segment leave no starts
     assert SegmentPlan(np.array([1, 0]), 2).starts is None
     assert SegmentPlan(np.array([0, 2]), 3).starts is None
@@ -546,11 +555,11 @@ def test_planned_scatter_matches_add_at(seg, k, m, data):
     # unsorted and duplicate ids, empty segments, zero rows; one plan
     # and its one workspace serve three widths, growing or shrinking
     ids, n = seg
-    plan = SegmentPlan(ids, n)
     tails = data.draw(st.permutations([(), (k,), (k, m)]))
     xs = [data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
                                elements=_finite)) for tail in tails]
     for _ in _kernels():
+        plan = SegmentPlan(ids, n)
         for x in xs:
             want = _add_at(x, ids, n)
             with Tape():
@@ -619,6 +628,77 @@ def test_scatters_of_one_width_share_one_accumulator():
     assert sum(a.size for a in owned) == 64 * 16
 
 
+def _float_buffers(obj):
+    """The sizes, in values, of the float buffers that ``obj`` holds:
+    one entry per buffer however many views of it are kept."""
+    roots = {}
+    for a in _arrays_held(obj):
+        if a.dtype.kind == "f":
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            roots[id(a)] = a.size
+    return sorted(roots.values())
+
+
+def test_blocked_kernels_keep_one_block_of_scratch():
+    # rows of 16 values over three blocks and a part: plain and fused
+    # scatters on the slot path, an edge_dot and their VJPs equal the
+    # oracles bit for bit, and each plan holds one block of gathered
+    # rows at most besides its one accumulator
+    rng = np.random.default_rng(8)
+    e = 3 * segments.block_rows(16) + 100
+    ids = rng.integers(0, 4000, e)
+    rows = rng.integers(0, 500, e)
+    plan, src = SegmentPlan(ids, 4000), SegmentPlan.rows(rows, 500)
+    assert e * 16 >= segments.SLOT_VALUES * plan.depth
+    x = Tensor(rng.standard_normal((e, 4, 4)))
+    y = Tensor(rng.standard_normal((500, 4, 4)), requires_grad=True)
+    z = Tensor(rng.standard_normal((4000, 4, 4)), requires_grad=True)
+    w = rng.standard_normal((e, 4))
+    up = rng.standard_normal((e, 4))
+    with Tape():
+        plain = scatter_sum(x, plan)
+        fused = scatter_sum(y, plan, src=src, weights=w)
+        dots = edge_dot(y, z, src, plan)
+        grads = backward(sum_(mul(dots, Tensor(up))), [y, z])
+    assert np.array_equal(plain.data, _add_at(x.data, ids, 4000))
+    assert np.array_equal(fused.data,
+                          _add_at(y.data[rows] * w[..., None], ids, 4000))
+    want = sum_axis(mul(gather_rows(y, src), gather_rows(z, plan)), -1)
+    assert _same(dots.data, want.data)
+    assert np.array_equal(
+        grads[y].data, _add_at(z.data[ids] * up[..., None], rows, 500))
+    assert np.array_equal(
+        grads[z].data, _add_at(y.data[rows] * up[..., None], ids, 4000))
+    for p in (plan, src):
+        held = _float_buffers(p)
+        held.remove(p.bound * 16)
+        assert len(held) == 1 and held[0] <= segments.BLOCK_VALUES
+    # every plan of the default 240-node graph fits in one block of
+    # 16-value rows, so its kernels gather all their rows at once
+    ctx = ForwardContext.for_graph(build_dataset(resolve_dataset({}), 0).graph)
+    for p in (ctx.adj_src_plan, ctx.adj_dst_plan) + tuple(ctx.edge_plans):
+        assert len(p) <= segments.block_rows(16)
+
+
+@pytest.mark.parametrize("block_values", [1, 2, 3])
+def test_slot_sums_add_in_entry_order_across_block_edges(block_values,
+                                                         monkeypatch):
+    # slots of 3, 3 and 2 entries in blocks of 1, 2 or 3 rows: a slot
+    # straddles a block edge and a block ends inside a slot, yet each
+    # segment still adds its entries in entry order, which these
+    # cancelling values expose
+    monkeypatch.setattr(segments, "SLOT_VALUES", 0)
+    monkeypatch.setattr(segments, "BLOCK_VALUES", block_values)
+    ids = np.array([0, 0, 1, 2, 2, 2, 0, 1])
+    x = np.array([1e16, 1.0, -1.0, 3.0, -1e16, 1e16, -1e16, 1e-8])
+    for tail in ((), (1,)):
+        plan = SegmentPlan(ids, 3)
+        values = x.reshape((8,) + tail)
+        got = scatter_sum(Tensor(values), plan).data
+        assert _same(got, _add_at(values, ids, 3))
+
+
 @given(_segments(sort=False), st.integers(1, 3), st.integers(1, 3),
        st.data())
 @settings(max_examples=150, deadline=None)
@@ -626,7 +706,6 @@ def test_planned_gather_and_its_vjp_match_oracles(seg, k, m, data):
     # rows gathered by fancy indexing; the VJP scatters with the same
     # plan and must equal np.add.at of the upstream gradient
     ids, n = seg
-    plan = SegmentPlan.rows(ids, n)
     for tail in ((), (k,), (k, m)):
         x = Tensor(data.draw(hnp.arrays(np.float64, (n,) + tail,
                                         elements=_finite)),
@@ -634,6 +713,7 @@ def test_planned_gather_and_its_vjp_match_oracles(seg, k, m, data):
         w = data.draw(hnp.arrays(np.float64, (len(ids),) + tail,
                                  elements=_finite))
         for _ in _kernels():
+            plan = SegmentPlan.rows(ids, n)
             with Tape():
                 out = gather_rows(x, plan)
                 assert np.array_equal(out.data, x.data[ids])
@@ -708,7 +788,10 @@ def test_segment_softmax_columns_match_1d_calls(sort, scanned, heads, data):
     ids = (np.sort(ids) if sort
            else ids[np.asarray(data.draw(st.permutations(range(len(ids)))),
                                np.int64)])
-    seg = SegmentPlan(ids, n) if scanned else SegmentPlan.rows(ids, n)
+    def layout():
+        return SegmentPlan(ids, n) if scanned else SegmentPlan.rows(ids, n)
+
+    seg = layout()
     values = data.draw(hnp.arrays(np.float64, (len(ids), heads),
                                   elements=_finite))
     up = data.draw(hnp.arrays(np.float64, (len(ids), heads),
@@ -723,6 +806,7 @@ def test_segment_softmax_columns_match_1d_calls(sort, scanned, heads, data):
         wants.append((want.data, want_grad.data))
     x = Tensor(values, requires_grad=True)
     for _ in _kernels():
+        seg = layout()
         with Tape():
             out = segment_softmax(x, seg)
             grad = backward(sum_(mul(out, Tensor(up))), [x])[x]
@@ -754,15 +838,18 @@ def test_segment_softmax_is_one_node_equal_to_its_chain(layout, heads, data):
     if layout == "unsorted":
         ids = ids[np.asarray(data.draw(st.permutations(range(len(ids)))),
                              np.int64)]
-    seg = (SegmentPlan.rows(ids, n) if layout == "rows"
-           else SegmentPlan(ids, n))
+    def build():
+        return (SegmentPlan.rows(ids, n) if layout == "rows"
+                else SegmentPlan(ids, n))
+
     if layout != "unsorted":  # a permutation may come out sorted
-        assert (seg.starts is not None) == (layout == "sorted")
+        assert (build().starts is not None) == (layout == "sorted")
     shape = (len(ids),) if heads is None else (len(ids), heads)
     values = data.draw(hnp.arrays(np.float64, shape, elements=_finite))
     up = Tensor(data.draw(hnp.arrays(np.float64, shape, elements=_finite)))
     x = Tensor(values, requires_grad=True)
     for _ in _kernels():
+        seg = build()
         results = []
         for softmax in (segment_softmax, _softmax_chain):
             with Tape() as tape:
@@ -834,7 +921,11 @@ def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
         w = Tensor(draw((e,) + tail[:-1]), requires_grad=True)
         params.append(w)
     up = Tensor(draw((m,) + tail))
-    src, idx = SegmentPlan.rows(rows, n), SegmentPlan(ids, m)
+
+    def plans():
+        return SegmentPlan.rows(rows, n), SegmentPlan(ids, m)
+
+    src, idx = plans()
     with Tape():
         msgs = gather_rows(x, src)
         if w is not None:
@@ -842,6 +933,7 @@ def test_fused_scatter_matches_gather_mul_scatter(edges, weighting, d,
         want = scatter_sum(msgs, idx)
         want_grads = backward(sum_(mul(want, up)), params)
     for _ in _kernels():
+        src, idx = plans()
         with Tape():
             out = scatter_sum(x, idx, src=src, weights=w)
             grads = backward(sum_(mul(out, up)), params)
@@ -874,13 +966,17 @@ def test_edge_dot_matches_gather_mul_sum(edges, per_head, d, heads, data):
     a = Tensor(draw((na,) + tail), requires_grad=True)
     b = Tensor(draw((nb,) + tail), requires_grad=True)
     up = Tensor(draw((len(rows),) + tail[:-1]))
-    ia, ib = SegmentPlan.rows(rows, na), SegmentPlan(ids, nb)
-    if shared:
-        ib = ia
+
+    def plans():
+        ia = SegmentPlan.rows(rows, na)
+        return ia, ia if shared else SegmentPlan(ids, nb)
+
+    ia, ib = plans()
     with Tape():
         want = sum_axis(mul(gather_rows(a, ia), gather_rows(b, ib)), -1)
         want_grads = backward(sum_(mul(want, up)), [a, b])
     for _ in _kernels():
+        ia, ib = plans()
         with Tape():
             out = edge_dot(a, b, ia, ib)
             grads = backward(sum_(mul(out, up)), [a, b])

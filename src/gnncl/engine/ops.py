@@ -543,22 +543,15 @@ def edge_dot(a: Tensor, b: Tensor, ia: SegmentPlan,
             f"edge_dot rows of shapes {a.shape} and {b.shape} do not align")
     pa = _plan(ia, "row index", bound=a.shape[0])
     pb = _plan(ib, "row index", bound=b.shape[0], length=len(pa))
-
-    def products(ids_a, ids_b):
-        prod = pa.gather(a.data, ids_a)
-        prod *= (np.take(b.data, ids_b, axis=0) if pb is pa
-                 else pb.gather(b.data, ids_b))
-        return prod
-
     e = len(pa)
     step = block_rows(math.prod(a.shape[1:]))
-    if e <= step:
-        data = _sum_last(products(pa.ids, pb.ids))
-    else:
-        data = np.empty((e,) + a.shape[1:-1])
-        for lo in range(0, e, step):
-            span = slice(lo, lo + step)
-            _sum_last(products(pa.ids[span], pb.ids[span]), out=data[span])
+    data = np.empty((e,) + a.shape[1:-1])
+    for lo in range(0, e, step):
+        span = slice(lo, lo + step)
+        prod = pa.gather(a.data, pa.ids[span])
+        prod *= (np.take(b.data, pb.ids[span], axis=0) if pb is pa
+                 else pb.gather(b.data, pb.ids[span]))
+        _sum_last(prod, data[span])
 
     def vjp(g, live):
         return (scatter_sum(b, pa, src=pb, weights=g) if live[0] else None,
@@ -567,18 +560,17 @@ def edge_dot(a: Tensor, b: Tensor, ia: SegmentPlan,
     return _apply("edge_dot", data, (a, b), vjp)
 
 
-def _sum_last(prod: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``prod.sum(axis=-1)``, into ``out`` when given."""
+def _sum_last(prod: np.ndarray, out: np.ndarray) -> None:
+    """``prod.sum(axis=-1)``, written into ``out``."""
     width = prod.shape[-1]
     if width >= 8:
-        return prod.sum(axis=-1, out=out)
+        prod.sum(axis=-1, out=out)
+        return
     # numpy adds fewer than 8 values in order, starting from +0.0;
     # column by column that order is several times faster
-    out = np.add(prod[..., 0], 0.0, out=out)
+    np.add(prod[..., 0], 0.0, out=out)
     for k in range(1, width):
         out += prod[..., k]
-    return out
 
 
 def take_cols(x: Tensor, cols: SegmentPlan) -> Tensor:

@@ -223,13 +223,12 @@ class SegmentPlan:
         every slot of a segment comes after its slots before, so the
         order of the adds is unchanged. One ``take`` puts the segments
         back in order. The views are kept per width, shared by every
-        row shape of that width, so such a call builds no index, and
-        a plan whose rows fit in one block makes one ``take`` of all of
-        them, sliced nowhere. With fewer values per slot, the dispatch
-        of each add costs more than its work (the rows are few or one
-        segment is deep), and the sum is one ``np.bincount`` over a
-        cached index of ``len * width`` entries, at most
-        ``SLOT_VALUES * depth``, of rows gathered all at once."""
+        row shape of that width, so such a call builds no index. With
+        fewer values per slot, the dispatch of each add costs more than
+        its work (the rows are few or one segment is deep), and the sum
+        is one ``np.bincount`` over a cached index of ``len * width``
+        entries, at most ``SLOT_VALUES * depth``, of rows gathered all
+        at once."""
         tail = x.shape[1:]
         width = math.prod(tail)
         if len(self) * width < SLOT_VALUES * self.depth:
@@ -246,10 +245,9 @@ class SegmentPlan:
         order = perm if rows is None else self.slot_rows(rows)
         acc.fill(0.0)
         for span, adds in blocks:
-            values = self.gather(x, order if span is None else order[span])
+            values = self.gather(x, order[span])
             if scale is not None:
-                values *= np.take(scale, perm if span is None else perm[span],
-                                  axis=0)[..., None]
+                values *= np.take(scale, perm[span], axis=0)[..., None]
             for part, slot in adds:
                 np.add(part, slot, out=part)
         return np.take(acc, self.slots.pos, axis=0).reshape(
@@ -269,9 +267,8 @@ class SegmentPlan:
     def _sum_views(self, width: int) -> Tuple:
         """(accumulator, blocks) for rows of ``width`` values, whatever
         their shape. Each block is ``(span, adds)``: the slice of slot
-        order it gathers (None for all of it, when the plan fits in one
-        block) and its (accumulator prefix, workspace rows) views, one
-        per piece of a slot in the block."""
+        order it gathers and its (accumulator prefix, workspace rows)
+        views, one per piece of a slot in the block."""
         step = block_rows(width)
         e = len(self)
         acc = np.zeros((self.bound, width))
@@ -286,8 +283,7 @@ class SegmentPlan:
                              work[start - lo:stop - lo]))
                 start = stop
                 if stop == hi:
-                    blocks.append((slice(lo, hi) if hi - lo < e else None,
-                                   adds))
+                    blocks.append((slice(lo, hi), adds))
                     adds, lo = [], hi
         views = (acc, blocks)
         self._sums[width] = views
